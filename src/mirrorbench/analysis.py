@@ -165,6 +165,8 @@ def estimate_benchmark(benchmark_id: str, n: int, depth: int,
     s1, s2, s3 = _kind_means(pols)
     f, fc, flags = mcfe_estimate(s1, s2, s3, n)
     sigma = bootstrap_sigma(tables, n, B=bootstrap, seed=seed)
+    if math.isnan(sigma):
+        flags += ("sigma-undefined",)
     return FidelityRecord(benchmark_id, f, fc, sigma, s1, s2, s3,
                           n, depth, shape, flags=flags)
 
@@ -175,7 +177,7 @@ def bootstrap_sigma(tables: dict[str, list[tuple[ShotTable, str]]], n: int,
 
     Each replica resamples circuits with replacement within each kind, then
     resamples every chosen circuit's shots multinomially. Deterministic for a
-    given seed.
+    given seed. NaN when fewer than two replicas give a defined estimate.
     """
     rng = derive_seed(seed, "bootstrap")
     # Precompute per-circuit Hamming profiles once; a multinomial over the
@@ -205,7 +207,7 @@ def bootstrap_sigma(tables: dict[str, list[tuple[ShotTable, str]]], n: int,
         if "estimate-undefined" not in flags:
             fs.append(f)
     if len(fs) < 2:
-        return 0.0
+        return float("nan")
     return float(np.std(fs))
 
 

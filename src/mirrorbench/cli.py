@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 partial simulation failure, 2 config error,
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -238,7 +239,7 @@ def generate(config_path: str, out_dir: str):
 
 def _simulate_one(payload):
     from mirrorbench.storage import circuit_from_json
-    line, target, nm_dict, shots, seed, fake = payload
+    line, nm_dict, shots, seed, fake = payload
     c = circuit_from_json(line)
     if fake:
         return fake_uniform_shots(c.n, shots, seed, c.id), None
@@ -269,7 +270,7 @@ def simulate(out_dir, noise_path, fake_uniform, shots, seed, jobs):
         nm = _noise_from(cfg.get("noise"))
     shots = shots or int(manifest.sampling.get("shots", 1000))
     master = seed if seed is not None else int(cfg["seed"])
-    mirror_ids = {r["id"]: r for r in manifest.mirror_records()}
+    mirror_ids = {r["id"] for r in manifest.mirror_records()}
 
     payloads = []
     with open(os.path.join(out_dir, "circuits.jsonl"), encoding="utf-8") as fp:
@@ -281,27 +282,23 @@ def simulate(out_dir, noise_path, fake_uniform, shots, seed, jobs):
             if cid not in mirror_ids:
                 continue
             s = int(derive_seed(master, cid, "shots").integers(0, 2 ** 31))
-            payloads.append((line, mirror_ids[cid].get("target_bitstring"),
-                             nm.to_dict(), shots, s, fake_uniform))
+            payloads.append((line, nm.to_dict(), shots, s, fake_uniform))
 
     failures = []
-    with open(os.path.join(out_dir, "shots.jsonl"), "w", encoding="utf-8") as fp:
+    with contextlib.ExitStack() as stack:
+        fp = stack.enter_context(
+            open(os.path.join(out_dir, "shots.jsonl"), "w", encoding="utf-8"))
         if jobs > 1:
             from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=jobs) as ex:
-                results = ex.map(_simulate_one, payloads, chunksize=8)
-                for table, err in results:
-                    if err:
-                        failures.append(err)
-                    else:
-                        write_shot_tables(fp, [table])
+            ex = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+            results = ex.map(_simulate_one, payloads, chunksize=8)
         else:
-            for p in payloads:
-                table, err = _simulate_one(p)
-                if err:
-                    failures.append(err)
-                else:
-                    write_shot_tables(fp, [table])
+            results = map(_simulate_one, payloads)
+        for table, err in results:
+            if err:
+                failures.append(err)
+            else:
+                write_shot_tables(fp, [table])
     click.echo(f"simulated {len(payloads) - len(failures)}/{len(payloads)} "
                f"proxies in {time.monotonic() - t0:.2f}s")
     if failures:
@@ -438,7 +435,7 @@ def oracle(out_dir, max_n):
         benchmark_ids = set(f_hat)
         for c in read_circuits(fp):
             if c.id in benchmark_ids and c.n <= max_n:
-                f = exact_process_fidelity(c, nm)
+                f = exact_process_fidelity(c, nm, max_n=max_n)
                 est = f_hat[c.id]
                 dev = abs(est - f) if not math.isnan(est) else float("nan")
                 out_rows.append((c.id, f, est, dev))

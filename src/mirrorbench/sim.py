@@ -1,6 +1,9 @@
 """Noisy and ideal circuit simulation with exact process-fidelity oracles.
 
-Noise semantics (shared by the shot sampler and the deterministic oracles):
+Noise semantics, applied in one place: ``_noisy_program`` turns a circuit
+and a noise model into the steps the device runs, and the shot sampler, the
+density-matrix oracles, ``noisy_unitary`` and ``statevector`` all consume
+those steps.
 
 * Depolarizing after each gate on the gate's k qubits:
   ``rho -> (1 - lam) rho + lam I/2^k (x) Tr_k rho``, i.e. a uniform Pauli
@@ -11,6 +14,10 @@ Noise semantics (shared by the shot sampler and the deterministic oracles):
   a layer (RZ counts as acting).
 * Readout: independent symmetric bit flips with probability ``eps_ro``,
   applied to measured bits only (never part of the process fidelity).
+
+Axis convention (that of ``circuits.apply_gate``): qubit axes come first. A
+state tensor has axes 0..n-1; a density tensor has rows 0..n-1 and columns
+n..2n-1. Batch axes (shots, unitary columns, Pauli chunks) trail.
 
 Bitstring convention: character i is qubit i, qubit 0 leftmost (most
 significant bit of a basis-state index).
@@ -154,22 +161,34 @@ def _index_to_bitstring(x: int, n: int) -> str:
     return format(x, f"0{n}b")
 
 
-def _gate_with_coherent_error(kind: str, params, nm: NoiseModel) -> np.ndarray:
-    g = gate_matrix(kind, params)
-    theta = nm.theta_over.get(kind, 0.0)
-    if theta and kind in ("X", "SX"):
-        err = math.cos(theta / 2) * np.eye(2) - 1j * math.sin(theta / 2) * _X
-        g = err @ g
-    return g
+def _noisy_program(c: Circuit, nm: NoiseModel):
+    """Yield the circuit as the noisy device runs it, as ``(matrix, qubits,
+    lam)`` steps in time order.
+
+    Each gate's matrix has its over-rotation folded in and ``lam`` is the
+    depolarizing strength that follows it; after each layer, every qubit the
+    layer leaves idle gets an ``RZ(theta_idle)`` step with ``lam = 0``.
+    """
+    idle = gate_matrix("RZ", (nm.theta_idle,)) if nm.theta_idle else None
+    for layer in c.layers:
+        for op in layer:
+            g = op.matrix()
+            theta = nm.theta_over.get(op.kind, 0.0)
+            if theta:
+                g = (math.cos(theta / 2) * np.eye(2) - 1j * math.sin(theta / 2) * _X) @ g
+            yield g, op.qubits, nm.lam_1q if len(op.qubits) == 1 else nm.lam_2q
+        if idle is not None:
+            busy = {q for op in layer for q in op.qubits}
+            for q in range(c.n):
+                if q not in busy:
+                    yield idle, (q,), 0.0
 
 
-def _idle_qubits(layer, n: int) -> list[int]:
-    busy = {q for op in layer for q in op.qubits}
-    return [q for q in range(n) if q not in busy]
-
-
-def _idle_rz(theta: float) -> np.ndarray:
-    return np.array([[np.exp(-0.5j * theta), 0], [0, np.exp(0.5j * theta)]])
+def _evolve_pure(psi: np.ndarray, c: Circuit, nm: NoiseModel) -> np.ndarray:
+    """Apply the program's unitary steps (depolarizing ignored) to ``psi``."""
+    for g, qubits, _ in _noisy_program(c, nm):
+        psi = apply_gate(g, psi, qubits, c.n)
+    return psi
 
 
 # --- ideal statevector simulation ----------------------------------------------
@@ -181,10 +200,7 @@ def statevector(c: Circuit, max_n: int = 20) -> np.ndarray:
         raise CapacityError(f"n={c.n} exceeds statevector limit {max_n}")
     psi = np.zeros((2,) * c.n, dtype=complex)
     psi[(0,) * c.n] = 1.0
-    for layer in c.layers:
-        for op in layer:
-            psi = apply_gate(op.matrix(), psi, op.qubits, c.n)
-    return psi
+    return _evolve_pure(psi, c, NoiseModel.noiseless())
 
 
 def ideal_distribution(c: Circuit, max_n: int = 20, tol: float = 1e-12) -> OutcomeDistribution:
@@ -220,33 +236,27 @@ def sample_shots(c: Circuit, nm: NoiseModel, shots: int, seed: int,
     states = np.zeros((2,) * n + (shots,), dtype=complex)
     states[(0,) * n + (slice(None),)] = 1.0
 
-    for layer in c.layers:
-        for op in layer:
-            g = _gate_with_coherent_error(op.kind, op.params, nm)
-            states = apply_gate(g, states, op.qubits, n)
-            lam = nm.lam_1q if len(op.qubits) == 1 else nm.lam_2q
-            if lam > 0:
-                k = len(op.qubits)
-                num_p = 4 ** k - 1
-                p_err = lam * num_p / 4 ** k
-                hit = np.nonzero(rng.random(shots) < p_err)[0]
-                if hit.size:
-                    which = rng.integers(1, num_p + 1, size=hit.size)
-                    for shot, w in zip(hit, which):
-                        col = states[..., shot]
-                        for q, pi in zip(op.qubits, _unpack_pauli(int(w), k)):
-                            if pi:
-                                col = apply_gate(PAULI_MATS[pi], col, (q,), n)
-                        states[..., shot] = col
-        if nm.theta_idle:
-            rz = _idle_rz(nm.theta_idle)
-            for q in _idle_qubits(layer, n):
-                states = apply_gate(rz, states, (q,), n)
+    for g, qubits, lam in _noisy_program(c, nm):
+        states = apply_gate(g, states, qubits, n)
+        if lam > 0:
+            k = len(qubits)
+            num_p = 4 ** k - 1
+            p_err = lam * num_p / 4 ** k
+            hit = np.nonzero(rng.random(shots) < p_err)[0]
+            if hit.size:
+                which = rng.integers(1, num_p + 1, size=hit.size)
+                for shot, w in zip(hit, which):
+                    col = states[..., shot]
+                    for q, pi in zip(qubits, _unpack_pauli(int(w), k)):
+                        if pi:
+                            col = apply_gate(PAULI_MATS[pi], col, (q,), n)
+                    states[..., shot] = col
 
-    probs = np.abs(states.reshape(1 << n, shots)) ** 2
-    probs /= probs.sum(axis=0)
+    cum = np.cumsum(np.abs(states.reshape(1 << n, shots)) ** 2, axis=0)
     u = rng.random(shots)
-    outcomes = (np.cumsum(probs, axis=0) < u).sum(axis=0)
+    # Compare with u times the column total, not a normalized column, so that
+    # rounding cannot push an index past the last outcome with nonzero weight.
+    outcomes = (cum < u * cum[-1]).sum(axis=0)
     bits = ((outcomes[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
     if nm.eps_ro > 0:
         flips = rng.random((shots, n)) < nm.eps_ro
@@ -285,52 +295,28 @@ def fake_uniform_shots(n: int, shots: int, seed: int, circuit_id: str = "fake") 
 
 
 def _conj_gate(rho: np.ndarray, mat: np.ndarray, qubits, n: int) -> np.ndarray:
-    """U rho U^dag on a density tensor with row axes 0..n-1, col axes n..2n-1.
-
-    ``rho`` may carry one leading batch axis; qubit axes are addressed from the
-    end so the same code handles both cases.
-    """
-    nd = rho.ndim
-    row = [nd - 2 * n + q for q in qubits]
-    col = [nd - n + q for q in qubits]
-    k = len(qubits)
-    g = mat.reshape((2,) * (2 * k))
-    rho = np.tensordot(g, rho, axes=(list(range(k, 2 * k)), row))
-    rho = np.moveaxis(rho, range(k), row)
-    gc = mat.conj().reshape((2,) * (2 * k))
-    rho = np.tensordot(gc, rho, axes=(list(range(k, 2 * k)), col))
-    return np.moveaxis(rho, range(k), col)
+    """U rho U^dag on a density tensor."""
+    rho = apply_gate(mat, rho, qubits, 2 * n)
+    return apply_gate(mat.conj(), rho, tuple(n + q for q in qubits), 2 * n)
 
 
 def _depolarize(rho: np.ndarray, lam: float, qubits, n: int) -> np.ndarray:
     """(1-lam) rho + lam I/2^k (x) Tr_k rho on the given qubits."""
-    nd = rho.ndim
-    row = [nd - 2 * n + q for q in qubits]
-    col = [nd - n + q for q in qubits]
     k = len(qubits)
-    tail = list(range(nd - 2 * k, nd))
-    moved = np.moveaxis(rho, row + col, tail)
-    lead = moved.shape[: nd - 2 * k]
-    traced = np.trace(moved.reshape(lead + (1 << k, 1 << k)), axis1=-2, axis2=-1)
-    mixed = np.multiply.outer(traced, np.eye(1 << k) / (1 << k))
-    mixed = mixed.reshape(lead + (2,) * (2 * k))
-    mixed = np.moveaxis(mixed, tail, row + col)
+    axes = list(qubits) + [n + q for q in qubits]
+    front = np.moveaxis(rho, axes, range(2 * k))
+    traced = np.trace(front.reshape((1 << k, 1 << k) + front.shape[2 * k:]))
+    mixed = np.multiply.outer(np.eye(1 << k) / (1 << k), traced)
+    mixed = np.moveaxis(mixed.reshape(front.shape), range(2 * k), axes)
     return (1.0 - lam) * rho + lam * mixed
 
 
 def _evolve_channel(rho: np.ndarray, c: Circuit, nm: NoiseModel, n: int) -> np.ndarray:
     """Apply the noisy channel of the circuit (no readout) to a density tensor."""
-    for layer in c.layers:
-        for op in layer:
-            g = _gate_with_coherent_error(op.kind, op.params, nm)
-            rho = _conj_gate(rho, g, op.qubits, n)
-            lam = nm.lam_1q if len(op.qubits) == 1 else nm.lam_2q
-            if lam > 0:
-                rho = _depolarize(rho, lam, op.qubits, n)
-        if nm.theta_idle:
-            rz = _idle_rz(nm.theta_idle)
-            for q in _idle_qubits(layer, n):
-                rho = _conj_gate(rho, rz, (q,), n)
+    for g, qubits, lam in _noisy_program(c, nm):
+        rho = _conj_gate(rho, g, qubits, n)
+        if lam > 0:
+            rho = _depolarize(rho, lam, qubits, n)
     return rho
 
 
@@ -342,9 +328,9 @@ def noisy_distribution(c: Circuit, nm: NoiseModel, max_n: int = 10,
         raise CapacityError(f"n={c.n} exceeds density-evolution limit {max_n}")
     n = c.n
     dim = 1 << n
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[0, 0] = 1.0
-    rho = _evolve_channel(rho.reshape((2,) * (2 * n)), c, nm, n)
+    rho = np.zeros((2,) * (2 * n), dtype=complex)
+    rho[(0,) * (2 * n)] = 1.0
+    rho = _evolve_channel(rho, c, nm, n)
     probs = rho.reshape(dim, dim).diagonal().real.copy()
     if nm.eps_ro > 0:
         # readout flips mix the probability vector one bit at a time
@@ -352,8 +338,7 @@ def noisy_distribution(c: Circuit, nm: NoiseModel, max_n: int = 10,
         e = nm.eps_ro
         mix = np.array([[1 - e, e], [e, 1 - e]])
         for q in range(n):
-            probs = np.tensordot(mix, probs, axes=(1, q))
-            probs = np.moveaxis(probs, 0, q)
+            probs = apply_gate(mix, probs, (q,), n)
         probs = probs.ravel()
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum()
@@ -383,15 +368,7 @@ def noisy_unitary(c: Circuit, nm: NoiseModel, max_n: int = 12) -> np.ndarray:
         raise CapacityError(f"n={c.n} exceeds dense limit {max_n}")
     dim = 1 << c.n
     u = np.eye(dim, dtype=complex).reshape((2,) * c.n + (dim,))
-    for layer in c.layers:
-        for op in layer:
-            g = _gate_with_coherent_error(op.kind, op.params, nm)
-            u = apply_gate(g, u, op.qubits, c.n)
-        if nm.theta_idle:
-            rz = _idle_rz(nm.theta_idle)
-            for q in _idle_qubits(layer, c.n):
-                u = apply_gate(rz, u, (q,), c.n)
-    return u.reshape(dim, dim)
+    return _evolve_pure(u, c, nm).reshape(dim, dim)
 
 
 def _pauli_stack(n: int, indices: np.ndarray) -> np.ndarray:
@@ -429,10 +406,9 @@ def process_fidelity_channel_vs_unitary(u_target: np.ndarray, c: Circuit,
         idx = np.arange(start, min(start + chunk, 4 ** n))
         sig = _pauli_stack(n, idx)
         ref = u_target @ sig @ u_target.conj().T
-        evolved = _evolve_channel(
-            sig.reshape((len(idx),) + (2,) * (2 * n)), c, nm, n
-        ).reshape(len(idx), dim, dim)
-        total += float(np.real(np.einsum("bij,bij->", ref.conj(), evolved)))
+        rho = np.moveaxis(sig, 0, -1).reshape((2,) * (2 * n) + (len(idx),))
+        evolved = _evolve_channel(rho, c, nm, n).reshape(dim, dim, len(idx))
+        total += float(np.real(np.einsum("bij,ijb->", ref.conj(), evolved)))
     return total / 4 ** n
 
 

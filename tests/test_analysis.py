@@ -124,6 +124,7 @@ class TestEstimateBenchmark:
         rec = estimate_benchmark("b", 6, 9, tables, bootstrap=20, seed=0)
         assert "estimate-undefined" in rec.flags
         assert math.isnan(rec.F_hat) and rec.F_clamped == 0.0
+        assert math.isnan(rec.sigma_boot) and "sigma-undefined" in rec.flags
 
     def test_missing_kind(self):
         tables = {"M1": [(table({"0": 10}), "0")]}

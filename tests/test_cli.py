@@ -5,6 +5,7 @@ import os
 import pytest
 from click.testing import CliRunner
 
+from mirrorbench import cli
 from mirrorbench.cli import main
 
 BRICK_CONFIG = {
@@ -141,6 +142,25 @@ class TestPipeline:
         rows = read_csv(os.path.join(out, "oracle.csv"))
         assert float(rows[0]["F_exact"]) < 0.99
         assert float(rows[0]["abs_deviation"]) < 0.05
+
+    def test_oracle_max_n_reaches_oracle(self, runner, tmp_path, monkeypatch):
+        # A real n=7 oracle takes most of a minute; the stub records the
+        # limit it is given, with the real oracle's default.
+        cfg = dict(BRICK_CONFIG, shots=50, sampling={"m1": 1, "m2": 1, "m3": 1},
+                   inputs={"family": {"kind": "brickwork", "n": 7, "depth": 2,
+                                      "seed": 0}})
+        out = self._generate(runner, tmp_path, cfg)
+        run_ok(runner, ["simulate", "--out", out])
+        run_ok(runner, ["analyze", "--out", out, "--bootstrap", "5"])
+        seen = []
+
+        def oracle_stub(c, nm, max_n=6):
+            seen.append((c.n, max_n))
+            return 1.0
+
+        monkeypatch.setattr(cli, "exact_process_fidelity", oracle_stub)
+        run_ok(runner, ["oracle", "--out", out, "--max-n", "7"])
+        assert seen == [(7, 7)]
 
 
 class TestTrotterReport:

@@ -2,11 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mirrorbench import sim
 from mirrorbench.circuits import (
+    MIRRORABLE_KINDS,
     CapacityError,
     Circuit,
     ContractError,
+    GATE_ARITY,
+    GATE_NPARAMS,
     GateOp,
     equal_up_to_phase,
     gate_matrix,
@@ -30,6 +36,38 @@ from tests.test_circuits import random_native_circuit
 
 COMBINED = NoiseModel(lam_1q=0.0005, lam_2q=0.005, eps_ro=0.01,
                       theta_idle=0.005, theta_over={"X": 0.01, "SX": 0.01})
+
+
+def random_mirrorable_circuit(rng, n, n_ops):
+    kinds = sorted(k for k in MIRRORABLE_KINDS if GATE_ARITY[k] <= n)
+    ops = []
+    for _ in range(n_ops):
+        kind = kinds[int(rng.integers(len(kinds)))]
+        qubits = tuple(int(q) for q in rng.choice(n, GATE_ARITY[kind], replace=False))
+        if kind == "C1Q":
+            params = (float(rng.integers(24)),)
+        else:
+            params = tuple(float(x) for x in rng.uniform(-7, 7, GATE_NPARAMS[kind]))
+        ops.append(GateOp(kind, params, qubits))
+    return Circuit(n, layerize(n, ops))
+
+
+def random_noise_model(rng, coherent_only=False):
+    coherent = dict(theta_idle=float(rng.uniform(-0.6, 0.6)),
+                    theta_over={"X": float(rng.uniform(-0.6, 0.6)),
+                                "SX": float(rng.uniform(-0.6, 0.6))})
+    if coherent_only:
+        return NoiseModel(**coherent)
+    return NoiseModel(lam_1q=float(rng.uniform(0, 0.05)),
+                      lam_2q=float(rng.uniform(0, 0.1)),
+                      eps_ro=float(rng.uniform(0, 0.1)), **coherent)
+
+
+def _dense(dist, n):
+    p = np.zeros(1 << n)
+    for bs, v in dist.probs.items():
+        p[int(bs, 2)] = v
+    return p
 
 
 class TestNoiseModel:
@@ -97,6 +135,79 @@ class TestSampleShots:
             f = t.counts.get(bs, 0) / shots
             sigma = math.sqrt(max(p * (1 - p), 1e-12) / shots)
             assert abs(f - p) < 5 * sigma + 1e-9
+
+    def test_top_draw_stays_in_support(self, monkeypatch):
+        # u at the largest value rng.random can return lies above the
+        # rounded cumulative sum of some columns; the drawn index must still
+        # be an outcome the state can produce (qubit 0 is always 1 here).
+        class TopDraws:
+            def __init__(self, rng):
+                self._rng = rng
+
+            def __getattr__(self, name):
+                return getattr(self._rng, name)
+
+            def random(self, size=None):
+                return np.full(size, np.nextafter(1.0, 0.0))
+
+        real = sim.derive_seed
+        monkeypatch.setattr(sim, "derive_seed", lambda *tags: TopDraws(real(*tags)))
+        n = 5
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            ops = [GateOp("X", (), (0,))] + [
+                GateOp("U3", tuple(rng.uniform(-3, 3, 3)), (q,)) for q in range(1, n)]
+            c = Circuit(n, layerize(n, ops))
+            support = np.abs(sim.statevector(c).ravel()) ** 2 > 0
+            t = sample_shots(c, NoiseModel.noiseless(), 8, seed)
+            assert all(support[int(bs, 2)] for bs in t.counts), (seed, t.counts)
+
+
+class TestStepConsumersAgree:
+    """The consumers of the noisy program agree with each other and with the
+    noiseless reference ``unitary_of``."""
+
+    EXAMPLES = 20
+    SHOTS = 20_000
+    # Family-wise false-alarm rate of the shot test over every example and
+    # outcome, Bonferroni-split (n <= 4, so at most 16 outcomes).
+    FAMILY_ALPHA = 1e-6
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=EXAMPLES, deadline=None, derandomize=True)
+    def test_shots_match_noisy_distribution(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 5))
+        c = random_mirrorable_circuit(rng, n, int(rng.integers(1, 13)))
+        nm = random_noise_model(rng)
+        p = _dense(noisy_distribution(c, nm), n)
+        counts = np.zeros(1 << n)
+        for bs, k in sample_shots(c, nm, self.SHOTS, seed).counts.items():
+            counts[int(bs, 2)] = k
+        # Bernstein's inequality on each binomial marginal of the multinomial.
+        log_term = math.log(2 * self.EXAMPLES * 16 / self.FAMILY_ALPHA) / self.SHOTS
+        tol = log_term / 3 + np.sqrt(log_term ** 2 / 9 + 2 * log_term * p * (1 - p))
+        dev = np.abs(counts / self.SHOTS - p)
+        assert (dev <= tol).all(), (dev / tol).max()
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_coherent_distribution_matches_noisy_unitary(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 5))
+        c = random_mirrorable_circuit(rng, n, int(rng.integers(1, 13)))
+        nm = random_noise_model(rng, coherent_only=True)
+        col = np.abs(noisy_unitary(c, nm)[:, 0]) ** 2
+        assert np.abs(_dense(noisy_distribution(c, nm), n) - col).max() <= 1e-12
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_statevector_matches_unitary(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 5))
+        c = random_mirrorable_circuit(rng, n, int(rng.integers(1, 13)))
+        psi = sim.statevector(c).ravel()
+        assert np.abs(psi - unitary_of(c)[:, 0]).max() <= 1e-12
 
 
 class TestFakeUniform:
