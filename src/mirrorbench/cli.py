@@ -254,9 +254,9 @@ def _simulate_one(payload):
 @click.option("--noise", "noise_path", type=click.Path(exists=True))
 @click.option("--fake-uniform", is_flag=True,
               help="Emit uniform random shot tables instead of simulating.")
-@click.option("--shots", type=int, default=None)
+@click.option("--shots", type=click.IntRange(min=1), default=None)
 @click.option("--seed", type=int, default=None)
-@click.option("--jobs", type=int, default=1)
+@click.option("--jobs", type=click.IntRange(min=1), default=1)
 def simulate(out_dir, noise_path, fake_uniform, shots, seed, jobs):
     """Produce shots.jsonl for every proxy circuit in the suite."""
     t0 = time.monotonic()
@@ -268,7 +268,8 @@ def simulate(out_dir, noise_path, fake_uniform, shots, seed, jobs):
             nm = _noise_from(json.load(fp))
     else:
         nm = _noise_from(cfg.get("noise"))
-    shots = shots or int(manifest.sampling.get("shots", 1000))
+    if shots is None:
+        shots = int(manifest.sampling.get("shots", 1000))
     master = seed if seed is not None else int(cfg["seed"])
     mirror_ids = {r["id"] for r in manifest.mirror_records()}
 

@@ -15,9 +15,17 @@ those steps.
 * Readout: independent symmetric bit flips with probability ``eps_ro``,
   applied to measured bits only (never part of the process fidelity).
 
+Shot sampling draws every error before it evolves any state, in a fixed
+order, groups the shots by error history and evolves each distinct history
+once: the error-free trunk from the start, every other trajectory from a copy
+of the trunk made at its first error. Its memory is at most one state per
+shot plus the trunk, ``(shots + 1) 2^n`` amplitudes (see ``sample_shots``).
+
 Axis convention (that of ``circuits.apply_gate``): qubit axes come first. A
 state tensor has axes 0..n-1; a density tensor has rows 0..n-1 and columns
-n..2n-1. Batch axes (shots, unitary columns, Pauli chunks) trail.
+n..2n-1. Batch axes (unitary columns, Pauli chunks) trail. The one exception
+is the shot sampler's trajectory buffer, whose batch axis comes first so that
+the trajectories still being evolved form one contiguous block.
 
 Bitstring convention: character i is qubit i, qubit 0 leftmost (most
 significant bit of a basis-state index).
@@ -224,8 +232,19 @@ def sample_shots(c: Circuit, nm: NoiseModel, shots: int, seed: int,
     depolarizing errors insert uniform non-identity Paulis with total
     probability ``lam (4^k - 1)/4^k``, idle qubits precess by ``theta_idle``
     per layer, and measured bits flip with probability ``eps_ro``.
-    Deterministic given (seed, circuit id). Shots are evolved as one batched
-    statevector array; error insertions are applied per affected shot.
+
+    Errors are drawn first: every random number is drawn before any state is
+    evolved, in a fixed order. For each noisy step come one uniform per shot
+    and then the Pauli index of each shot it hits; then one uniform per shot
+    that picks the outcome; then the readout flips. No draw depends on the
+    state, so the output is deterministic given (seed, circuit id), and a
+    change to this order changes seeded outputs.
+
+    Shots are then grouped by error history, and each distinct history is
+    evolved once: the error-free trunk from the start, every other trajectory
+    from a copy of the trunk made at its first error. Memory is one state of
+    ``2^n`` amplitudes per distinct history plus the trunk, so at most
+    ``(shots + 1) 2^n``.
     """
     if shots <= 0:
         raise ContractError("shots must be positive")
@@ -233,33 +252,54 @@ def sample_shots(c: Circuit, nm: NoiseModel, shots: int, seed: int,
         raise CapacityError(f"n={c.n} exceeds trajectory limit {max_n}")
     rng = derive_seed(seed, c.id)
     n = c.n
-    states = np.zeros((2,) * n + (shots,), dtype=complex)
-    states[(0,) * n + (slice(None),)] = 1.0
-
-    for g, qubits, lam in _noisy_program(c, nm):
-        states = apply_gate(g, states, qubits, n)
+    program = list(_noisy_program(c, nm))
+    hit_shots, hit_codes = [], []
+    for s, (_, qubits, lam) in enumerate(program):
         if lam > 0:
             k = len(qubits)
             num_p = 4 ** k - 1
-            p_err = lam * num_p / 4 ** k
-            hit = np.nonzero(rng.random(shots) < p_err)[0]
+            hit = np.nonzero(rng.random(shots) < lam * num_p / 4 ** k)[0]
             if hit.size:
-                which = rng.integers(1, num_p + 1, size=hit.size)
-                for shot, w in zip(hit, which):
-                    col = states[..., shot]
-                    for q, pi in zip(qubits, _unpack_pauli(int(w), k)):
-                        if pi:
-                            col = apply_gate(PAULI_MATS[pi], col, (q,), n)
-                    states[..., shot] = col
-
-    cum = np.cumsum(np.abs(states.reshape(1 << n, shots)) ** 2, axis=0)
+                hit_shots.append(hit)
+                hit_codes.append(_EVENTS_PER_STEP * s + rng.integers(1, num_p + 1, size=hit.size))
     u = rng.random(shots)
-    # Compare with u times the column total, not a normalized column, so that
-    # rounding cannot push an index past the last outcome with nonzero weight.
-    outcomes = (cum < u * cum[-1]).sum(axis=0)
+    flips = rng.random((shots, n)) < nm.eps_ro if nm.eps_ro > 0 else None
+
+    slot, histories = _group_histories(shots, hit_shots, hit_codes)
+    blocks = _event_blocks(histories, program, n)
+
+    # Slot 0 holds the error-free trunk and slot i > 0 history row i - 1.
+    # Rows are sorted, so their first-error steps never decrease and the
+    # trajectories that have branched always form a prefix of the buffer.
+    buf = np.zeros((1 + len(histories),) + (2,) * n, dtype=complex)
+    buf[(0,) * (n + 1)] = 1.0
+    flat = buf.reshape(len(buf), 1 << n)
+    basis = np.arange(1 << n)
+    sign = np.ones(1, dtype=np.int8)
+    for _ in range(n):
+        sign = np.concatenate([sign, -sign])  # (-1)^(number of set bits)
+    active = 1
+    for s, (g, qubits, _) in enumerate(program):
+        _apply_to_prefix(g, buf, active, tuple(q + 1 for q in qubits))
+        if s in blocks:
+            in_use, paulis = blocks[s]
+            buf[active:in_use] = buf[0]
+            active = in_use
+            for rows, x, z, phase in paulis:
+                # Y = iXZ, so the Pauli with masks (x, z) maps |b> to
+                # i^|x & z| (-1)^|b & z| |b ^ x|.
+                perm = basis ^ x
+                v = flat[rows][:, perm]
+                v *= phase * sign[perm & z]
+                flat[rows] = v
+
+    cum = np.cumsum(np.abs(flat) ** 2, axis=1)
+    # Compare with u times the trajectory's total, not a normalized row, so
+    # that rounding cannot push an index past the last outcome with nonzero
+    # weight.
+    outcomes = (cum[slot] < (u * cum[slot, -1])[:, None]).sum(axis=1)
     bits = ((outcomes[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
-    if nm.eps_ro > 0:
-        flips = rng.random((shots, n)) < nm.eps_ro
+    if flips is not None:
         bits ^= flips
     counts: dict[str, int] = {}
     chars = (bits + ord("0")).astype(np.uint8)
@@ -269,13 +309,93 @@ def sample_shots(c: Circuit, nm: NoiseModel, shots: int, seed: int,
     return ShotTable(c.id, counts, n)
 
 
-def _unpack_pauli(w: int, k: int) -> tuple[int, ...]:
-    """Index 1..4^k-1 -> per-qubit Pauli indices (base-4 digits, not all zero)."""
-    digits = []
-    for _ in range(k):
-        digits.append(w % 4)
-        w //= 4
-    return tuple(reversed(digits))
+# An error event is coded as ``_EVENTS_PER_STEP * step + pauli``, where the
+# Pauli index ``1..4^k-1`` of a k-qubit gate (k <= 2) has the Paulis (I, X,
+# Y, Z) of the gate's qubits as base-4 digits, first qubit most significant.
+_EVENTS_PER_STEP = 16
+
+
+def _group_histories(shots: int, hit_shots, hit_codes) -> tuple[np.ndarray, np.ndarray]:
+    """Group shots by error history, given the shots hit and the event codes
+    of each noisy step in step order.
+
+    Returns each shot's buffer slot (0 for the error-free shots) and the
+    distinct histories that contain an error as sorted rows of event codes,
+    padded with -1.
+    """
+    if not hit_shots:
+        return np.zeros(shots, dtype=np.intp), np.zeros((0, 1), dtype=np.int64)
+    shot = np.concatenate(hit_shots)
+    order = np.argsort(shot, kind="stable")  # keeps each shot's events in step order
+    shot, code = shot[order], np.concatenate(hit_codes)[order]
+    per_shot = np.bincount(shot, minlength=shots)
+    pos = np.arange(shot.size) - np.repeat(np.cumsum(per_shot) - per_shot, per_shot)
+    table = np.full((shots, per_shot.max()), -1, dtype=np.int64)
+    table[shot, pos] = code
+    histories, slot = np.unique(table, axis=0, return_inverse=True)
+    slot = slot.reshape(-1)
+    if histories[0, 0] < 0:  # the error-free row sorts first and maps to the trunk
+        return slot, histories[1:]
+    return slot + 1, histories
+
+
+def _event_blocks(histories: np.ndarray, program, n: int) -> dict:
+    """The error events of the distinct histories, by step.
+
+    Maps each step with events to the number of buffer slots in use once its
+    trajectories have branched, and to one ``(slots, x, z, phase)`` entry per
+    Pauli the step inserts: ``x`` and ``z`` are the n-bit masks (qubit 0 most
+    significant) of its X and Z parts and ``phase`` is ``i^(number of Y)``.
+    """
+    rows, cols = np.nonzero(histories >= 0)
+    code = histories[rows, cols]
+    order = np.argsort(code)
+    slot, code = rows[order] + 1, code[order]
+    first_steps = histories[:, 0] // _EVENTS_PER_STEP
+    blocks: dict[int, tuple[int, list]] = {}
+    events, starts = np.unique(code, return_index=True)
+    for event, lo, hi in zip(events.tolist(), starts, [*starts[1:], len(code)]):
+        s, pauli = divmod(event, _EVENTS_PER_STEP)
+        qubits = program[s][1]
+        x = z = num_y = 0
+        for j, q in enumerate(qubits):
+            digit = (pauli >> 2 * (len(qubits) - 1 - j)) & 3
+            bit = 1 << (n - 1 - q)
+            x |= bit if digit in (1, 2) else 0
+            z |= bit if digit in (2, 3) else 0
+            num_y += digit == 2
+        if s not in blocks:
+            blocks[s] = (1 + int(np.searchsorted(first_steps, s, "right")), [])
+        blocks[s][1].append((slot[lo:hi], x, z, (1, 1j, -1, -1j)[num_y]))
+    return blocks
+
+
+# Gates are applied to the trajectory buffer this many amplitudes at a time,
+# so that the kernels' temporaries stay small and in cache.
+_BLOCK_AMPLITUDES = 1 << 16
+
+
+def _apply_to_prefix(g: np.ndarray, buf: np.ndarray, active: int, axes) -> None:
+    """Apply a 1- or 2-qubit gate in place to the first ``active`` states of
+    ``buf``, whose batch axis comes first (qubit q is axis q + 1)."""
+    diagonal = len(axes) == 2 and not np.count_nonzero(g - np.diag(np.diagonal(g)))
+    block = max(1, _BLOCK_AMPLITUDES >> (buf.ndim - 1))
+    for lo in range(0, active, block):
+        live = buf[lo:min(lo + block, active)]
+        if len(axes) == 1:
+            # As (before, qubit, after) blocks, the copies below run over
+            # contiguous rows rather than over axes of length 2.
+            v = live.reshape(len(live) << (axes[0] - 1), 2, -1)
+            out = g @ v.transpose(1, 0, 2).reshape(2, -1)
+            v[...] = out.reshape(2, len(v), -1).transpose(1, 0, 2)
+        elif diagonal:  # CZ, CP: one multiply
+            a, b = axes
+            shape = [1] * live.ndim
+            shape[a] = shape[b] = 2
+            d = np.diagonal(g).reshape(2, 2)
+            live *= (d if a < b else d.T).reshape(shape)
+        else:
+            live[...] = apply_gate(g, live, axes, live.ndim)
 
 
 def fake_uniform_shots(n: int, shots: int, seed: int, circuit_id: str = "fake") -> ShotTable:

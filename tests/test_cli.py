@@ -88,6 +88,15 @@ class TestPipeline:
         assert len(rows) == 1
         assert abs(float(rows[0]["F_hat"]) - 1.0) < 0.05
 
+    @pytest.mark.parametrize("args", [["--shots", "0"], ["--shots", "-5"],
+                                      ["--jobs", "0"]])
+    def test_simulate_non_positive_count_exits_2(self, runner, tmp_path, args):
+        out = self._generate(runner, tmp_path)
+        result = runner.invoke(main, ["simulate", "--out", out, *args])
+        assert result.exit_code == 2, result.output
+        assert "Traceback" not in result.output
+        assert not os.path.exists(os.path.join(out, "shots.jsonl"))
+
     def test_analyze_without_shots_exits_3(self, runner, tmp_path):
         out = self._generate(runner, tmp_path)
         result = runner.invoke(main, ["analyze", "--out", out])

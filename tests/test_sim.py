@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,12 +9,14 @@ from hypothesis import strategies as st
 from mirrorbench import sim
 from mirrorbench.circuits import (
     MIRRORABLE_KINDS,
+    PAULI_MATS,
     CapacityError,
     Circuit,
     ContractError,
     GATE_ARITY,
     GATE_NPARAMS,
     GateOp,
+    apply_gate,
     equal_up_to_phase,
     gate_matrix,
     layerize,
@@ -38,8 +41,8 @@ COMBINED = NoiseModel(lam_1q=0.0005, lam_2q=0.005, eps_ro=0.01,
                       theta_idle=0.005, theta_over={"X": 0.01, "SX": 0.01})
 
 
-def random_mirrorable_circuit(rng, n, n_ops):
-    kinds = sorted(k for k in MIRRORABLE_KINDS if GATE_ARITY[k] <= n)
+def random_circuit(rng, n, n_ops, kinds=MIRRORABLE_KINDS):
+    kinds = sorted(k for k in kinds if GATE_ARITY[k] <= n)
     ops = []
     for _ in range(n_ops):
         kind = kinds[int(rng.integers(len(kinds)))]
@@ -163,6 +166,70 @@ class TestSampleShots:
             assert all(support[int(bs, 2)] for bs in t.counts), (seed, t.counts)
 
 
+def per_shot_reference(c, nm, shots, seed):
+    """The sampler that ``sample_shots`` replaced: one state column per shot,
+    each drawn error inserted into its own column. It consumes the generator
+    in the same order, so the two must give identical counts."""
+    rng = derive_seed(seed, c.id)
+    n = c.n
+    states = np.zeros((2,) * n + (shots,), dtype=complex)
+    states[(0,) * n + (slice(None),)] = 1.0
+    for g, qubits, lam in sim._noisy_program(c, nm):
+        states = apply_gate(g, states, qubits, n)
+        if lam > 0:
+            k = len(qubits)
+            num_p = 4 ** k - 1
+            hit = np.nonzero(rng.random(shots) < lam * num_p / 4 ** k)[0]
+            if hit.size:
+                which = rng.integers(1, num_p + 1, size=hit.size)
+                for shot, w in zip(hit, which):
+                    col = states[..., shot]
+                    for j, q in enumerate(qubits):
+                        pauli = (int(w) >> 2 * (k - 1 - j)) & 3
+                        if pauli:
+                            col = apply_gate(PAULI_MATS[pauli], col, (q,), n)
+                    states[..., shot] = col
+    cum = np.cumsum(np.abs(states.reshape(1 << n, shots)) ** 2, axis=0)
+    u = rng.random(shots)
+    outcomes = (cum < u * cum[-1]).sum(axis=0)
+    bits = (outcomes[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    if nm.eps_ro > 0:
+        bits ^= rng.random((shots, n)) < nm.eps_ro
+    return dict(Counter("".join(map(str, row)) for row in bits))
+
+
+class TestExactStream:
+    """``sample_shots`` reproduces the per-shot sampler draw for draw, so a
+    change to the order of the random draws fails here."""
+
+    NOISE = {
+        "combined": COMBINED,
+        "strong": NoiseModel(lam_1q=0.05, lam_2q=0.2, eps_ro=0.05, theta_idle=0.3,
+                             theta_over={"X": 0.4, "SX": -0.3}),
+        # every shot errs at most gates, so nearly every shot has its own history
+        "always": NoiseModel(lam_1q=1.0, lam_2q=1.0),
+        # a single trajectory
+        "readout": NoiseModel(eps_ro=0.1),
+        "noiseless": NoiseModel.noiseless(),
+    }
+
+    @pytest.mark.parametrize("noise", sorted(NOISE))
+    def test_counts_match_per_shot_sampler(self, noise):
+        nm = self.NOISE[noise]
+        rng = np.random.default_rng(21)
+        circuits = [Circuit(3, (), "empty")]
+        # At n = 8 with 300 shots the strong models give more trajectories
+        # than one block of sim._BLOCK_AMPLITUDES holds.
+        for n in (1, 2, 3, 4, 5, 8):
+            c = random_circuit(rng, n, 4 * n + 2, kinds=GATE_ARITY)
+            circuits.append(Circuit(n, c.layers, f"all-kinds-{n}"))  # the id seeds the stream
+        for i, c in enumerate(circuits):
+            for shots in (1, 300):
+                seed = 100 * i + shots
+                assert sample_shots(c, nm, shots, seed).counts == \
+                    per_shot_reference(c, nm, shots, seed), (c.n, shots)
+
+
 class TestStepConsumersAgree:
     """The consumers of the noisy program agree with each other and with the
     noiseless reference ``unitary_of``."""
@@ -178,7 +245,7 @@ class TestStepConsumersAgree:
     def test_shots_match_noisy_distribution(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 5))
-        c = random_mirrorable_circuit(rng, n, int(rng.integers(1, 13)))
+        c = random_circuit(rng, n, int(rng.integers(1, 13)))
         nm = random_noise_model(rng)
         p = _dense(noisy_distribution(c, nm), n)
         counts = np.zeros(1 << n)
@@ -195,7 +262,7 @@ class TestStepConsumersAgree:
     def test_coherent_distribution_matches_noisy_unitary(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 5))
-        c = random_mirrorable_circuit(rng, n, int(rng.integers(1, 13)))
+        c = random_circuit(rng, n, int(rng.integers(1, 13)))
         nm = random_noise_model(rng, coherent_only=True)
         col = np.abs(noisy_unitary(c, nm)[:, 0]) ** 2
         assert np.abs(_dense(noisy_distribution(c, nm), n) - col).max() <= 1e-12
@@ -205,7 +272,7 @@ class TestStepConsumersAgree:
     def test_statevector_matches_unitary(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 5))
-        c = random_mirrorable_circuit(rng, n, int(rng.integers(1, 13)))
+        c = random_circuit(rng, n, int(rng.integers(1, 13)))
         psi = sim.statevector(c).ravel()
         assert np.abs(psi - unitary_of(c)[:, 0]).max() <= 1e-12
 
