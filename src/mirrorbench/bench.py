@@ -16,11 +16,10 @@ from mirrorbench.circuits import (
     Circuit,
     ContractError,
     GateOp,
-    MIRRORABLE_KINDS,
     layerize,
     unitary_of,
 )
-from mirrorbench.mirror import MirrorCircuit, SamplingParams, build_suite
+from mirrorbench.mirror import MirrorCircuit, SamplingParams, build_suite, check_native
 from mirrorbench.sim import derive_seed, process_fidelity_unitaries
 from mirrorbench.storage import Manifest
 from mirrorbench.transpile import TranspileConfig, transpile
@@ -76,15 +75,6 @@ def _record_for_mirror(mc: MirrorCircuit) -> dict:
             "depth": len(mc.circuit.layers)}
 
 
-def _check_native(c: Circuit, mode: str):
-    for op in c.ops():
-        if op.kind not in MIRRORABLE_KINDS:
-            raise ContractError(
-                f"circuit {c.id!r} contains non-native gate {op.kind}; "
-                f"{mode} benchmarks require native circuits -- use a "
-                f"full-stack benchmark (or transpile first)")
-
-
 def _emit(records: list[dict], benchmarks: list[tuple[Circuit, dict]],
           params: SamplingParams) -> Iterator[Circuit]:
     for b, rec in benchmarks:
@@ -101,7 +91,7 @@ def build_low_level(circuits: list[Circuit], params: SamplingParams,
                     shots: int = 1000) -> BenchmarkSuite:
     """B = C: benchmark the inputs directly. All inputs must be native."""
     for c in circuits:
-        _check_native(c, "low-level")
+        check_native(c, "low-level")
     records: list[dict] = []
     manifest = Manifest("low_level",
                         {"m1": params.m1, "m2": params.m2, "m3": params.m3,
@@ -241,7 +231,7 @@ def build_subcircuit(circuits: list[Circuit], shapes: ShapeSpec,
                      params: SamplingParams, shots: int = 1000) -> BenchmarkSuite:
     """B = K random snips per shape per input circuit."""
     for c in circuits:
-        _check_native(c, "subcircuit")
+        check_native(c, "subcircuit")
     benchmarks: list[tuple[Circuit, dict]] = []
     for c in circuits:
         for w, d in shapes.shapes:

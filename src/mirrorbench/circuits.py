@@ -1,4 +1,4 @@
-"""Layered circuit representation, gate semantics, and Pauli-frame algebra.
+"""Layered circuit representation, gate semantics, and Pauli conjugation tables.
 
 Conventions used throughout the package:
 
@@ -9,12 +9,12 @@ Conventions used throughout the package:
 * ``RZ(theta) = exp(-i theta Z / 2)``, ``CP(theta) = diag(1, 1, 1, e^{i theta})``,
   and ``U3(theta, phi, lam)`` is the standard Euler parameterization
   ``[[cos(t/2), -e^{i lam} sin(t/2)], [e^{i phi} sin(t/2), e^{i(phi+lam)} cos(t/2)]]``.
-* Global phase is never tracked beyond the +/-1 sign carried by Pauli frames.
+* Global phase is never tracked: gates, Cliffords and Pauli labels are all
+  compared up to phase, and the Pauli conjugation tables drop the sign.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import uuid
 from collections import deque
@@ -25,31 +25,29 @@ import numpy as np
 __all__ = [
     "GateOp",
     "Circuit",
-    "PauliFrame",
     "CouplingGraph",
     "CapacityError",
     "ContractError",
     "GATE_ARITY",
     "ONE_QUBIT_KINDS",
     "TWO_QUBIT_KINDS",
-    "CLIFFORD_KINDS",
     "NATIVE_KINDS",
     "CLIFFORD_MATS",
     "NUM_CLIFFORDS",
+    "CLIFFORD_INV",
+    "PAULI_CONJ_C1Q",
+    "PAULI_CONJ_CZ",
     "gate_matrix",
     "layerize",
     "inverse",
     "invert_op",
     "unitary_of",
     "apply_gate",
-    "propagate_frame",
-    "merge_1q",
     "u3_params_from_matrix",
     "u3_params_from_matrices",
     "equal_up_to_phase",
     "clifford_index_of",
     "clifford_inverse_index",
-    "clifford_conjugate_pauli",
     "permutation_matrix",
 ]
 
@@ -74,7 +72,6 @@ GATE_NPARAMS = {
 }
 ONE_QUBIT_KINDS = frozenset(k for k, a in GATE_ARITY.items() if a == 1)
 TWO_QUBIT_KINDS = frozenset(k for k, a in GATE_ARITY.items() if a == 2)
-CLIFFORD_KINDS = frozenset({"X", "SX", "H", "CZ", "CX", "SWAP", "C1Q"})
 NATIVE_KINDS = frozenset({"X", "SX", "RZ", "CZ"})
 # Kinds accepted by the mirror generator (native plus generic 1q gates).
 MIRRORABLE_KINDS = NATIVE_KINDS | {"U3", "C1Q"}
@@ -152,78 +149,13 @@ def clifford_index_of(m: np.ndarray) -> int:
         raise ContractError("matrix is not a single-qubit Clifford") from None
 
 
-CLIFFORD_INDEX_I = clifford_index_of(_I2)
-CLIFFORD_INDEX_X = clifford_index_of(_X)
-CLIFFORD_INDEX_Y = clifford_index_of(_Y)
-CLIFFORD_INDEX_Z = clifford_index_of(_Z)
-CLIFFORD_INDEX_H = clifford_index_of(_H)
-CLIFFORD_INDEX_SX = clifford_index_of(_SX)
+CLIFFORD_INDEX_OF_PAULI = tuple(clifford_index_of(p) for p in PAULI_MATS)
 CLIFFORD_INDEX_SXDG = clifford_index_of(_SX.conj().T)
-CLIFFORD_INDEX_OF_PAULI = (
-    CLIFFORD_INDEX_I, CLIFFORD_INDEX_X, CLIFFORD_INDEX_Y, CLIFFORD_INDEX_Z,
-)
-
-_CLIFFORD_INV = np.array(
-    [clifford_index_of(CLIFFORD_MATS[i].conj().T) for i in range(24)]
-)
+CLIFFORD_INV = np.array([clifford_index_of(m.conj().T) for m in CLIFFORD_MATS])
 
 
 def clifford_inverse_index(i: int) -> int:
-    return int(_CLIFFORD_INV[i])
-
-
-def _pauli_conj_tables():
-    """conj[i, p] = p' and sign[i, p] = s with C P C^dag = s P'."""
-    conj = np.zeros((24, 4), dtype=np.int64)
-    sign = np.zeros((24, 4), dtype=np.int64)
-    for i in range(24):
-        c = CLIFFORD_MATS[i]
-        for p in range(4):
-            m = c @ PAULI_MATS[p] @ c.conj().T
-            for q in range(4):
-                tr = np.trace(PAULI_MATS[q].conj().T @ m) / 2
-                if abs(tr - 1) < 1e-9:
-                    conj[i, p], sign[i, p] = q, 1
-                    break
-                if abs(tr + 1) < 1e-9:
-                    conj[i, p], sign[i, p] = q, -1
-                    break
-            else:
-                raise AssertionError("Clifford conjugation left Pauli basis")
-    return conj, sign
-
-
-_C1Q_CONJ, _C1Q_SIGN = _pauli_conj_tables()
-
-
-def clifford_conjugate_pauli(i: int, p: int) -> tuple[int, int]:
-    """Return ``(p', s)`` with ``C_i P_p C_i^dag = s P_p'``."""
-    return int(_C1Q_CONJ[i, p]), int(_C1Q_SIGN[i, p])
-
-
-def _two_qubit_conj_tables():
-    tables = {}
-    for kind, g in (("CZ", np.diag([1, 1, 1, -1]).astype(complex)),
-                    ("CX", np.array([[1, 0, 0, 0], [0, 1, 0, 0],
-                                     [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)),
-                    ("SWAP", np.array([[1, 0, 0, 0], [0, 0, 1, 0],
-                                       [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex))):
-        conj = np.zeros((4, 4, 3), dtype=np.int64)
-        for p1, p2 in itertools.product(range(4), repeat=2):
-            m = g @ np.kron(PAULI_MATS[p1], PAULI_MATS[p2]) @ g.conj().T
-            found = False
-            for q1, q2 in itertools.product(range(4), repeat=2):
-                tr = np.trace(np.kron(PAULI_MATS[q1], PAULI_MATS[q2]).conj().T @ m) / 4
-                if abs(abs(tr) - 1) < 1e-9:
-                    conj[p1, p2] = (q1, q2, int(round(tr.real)))
-                    found = True
-                    break
-            assert found
-        tables[kind] = conj
-    return tables
-
-
-_2Q_CONJ = _two_qubit_conj_tables()
+    return int(CLIFFORD_INV[i])
 
 
 def gate_matrix(kind: str, params: tuple = ()) -> np.ndarray:
@@ -251,6 +183,23 @@ def gate_matrix(kind: str, params: tuple = ()) -> np.ndarray:
     if kind == "CP":
         return np.diag([1, 1, 1, np.exp(1j * params[0])])
     raise ContractError(f"unknown gate kind {kind!r}")
+
+
+def _pauli_conj_table(gates: np.ndarray, paulis: np.ndarray) -> np.ndarray:
+    """table[g, p] = p' with ``G_g P_p G_g^dag = +/-P_p'``; the sign is dropped."""
+    conj = gates[:, None] @ paulis @ gates.conj().transpose(0, 2, 1)[:, None]
+    overlap = np.abs(np.einsum("qij,gpij->gpq", paulis.conj(), conj)) / paulis.shape[-1]
+    if not np.allclose(overlap.max(axis=-1), 1.0):
+        raise AssertionError("conjugation left the Pauli basis")
+    return overlap.argmax(axis=-1)
+
+
+# PAULI_CONJ_C1Q[i, p]: the label of C_i P_p C_i^dag (labels index IXYZ).
+PAULI_CONJ_C1Q = _pauli_conj_table(CLIFFORD_MATS, PAULI_MATS)
+# PAULI_CONJ_CZ[a, b] = (a', b'): CZ (P_a x P_b) CZ = +/-(P_a' x P_b').
+_PAULI_PAIRS = np.einsum("aij,bkl->abikjl", PAULI_MATS, PAULI_MATS).reshape(16, 4, 4)
+_CZ_CONJ = _pauli_conj_table(gate_matrix("CZ")[None], _PAULI_PAIRS).reshape(4, 4)
+PAULI_CONJ_CZ = np.stack([_CZ_CONJ // 4, _CZ_CONJ % 4], axis=-1)
 
 
 # --- circuit data types -------------------------------------------------------
@@ -438,74 +387,6 @@ def permutation_matrix(perm, n: int) -> np.ndarray:
     return m
 
 
-# --- Pauli frames ---------------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class PauliFrame:
-    """Per-qubit Pauli labels with a tracked +/-1 global sign."""
-
-    labels: tuple[int, ...]  # indices into PAULI_LABELS = "IXYZ"
-    sign: int = 1
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ContractError("frame sign must be +1 or -1")
-        if any(not 0 <= l <= 3 for l in self.labels):
-            raise ContractError("frame labels must index IXYZ")
-
-    @classmethod
-    def identity(cls, n: int) -> "PauliFrame":
-        return cls((0,) * n)
-
-    @classmethod
-    def from_string(cls, s: str, sign: int = 1) -> "PauliFrame":
-        return cls(tuple(PAULI_LABELS.index(ch) for ch in s), sign)
-
-    def to_string(self) -> str:
-        return "".join(PAULI_LABELS[l] for l in self.labels)
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
-
-    def as_matrix(self) -> np.ndarray:
-        m = np.array([[self.sign]], dtype=complex)
-        for l in self.labels:
-            m = np.kron(m, PAULI_MATS[l])
-        return m
-
-
-_KIND_TO_CLIFFORD = {
-    "X": CLIFFORD_INDEX_X,
-    "SX": CLIFFORD_INDEX_SX,
-    "H": CLIFFORD_INDEX_H,
-}
-
-
-def propagate_frame(f: PauliFrame, layer: Layer) -> PauliFrame:
-    """Push a Pauli frame through a layer of Clifford gates.
-
-    Returns f' such that L f = f' L as operators (sign included).
-    """
-    labels = list(f.labels)
-    sign = f.sign
-    for op in layer:
-        if op.kind not in CLIFFORD_KINDS:
-            raise ContractError(f"non-Clifford gate {op.kind} in frame propagation")
-        if op.kind in TWO_QUBIT_KINDS:
-            a, b = op.qubits
-            q1, q2, s = _2Q_CONJ[op.kind][labels[a], labels[b]]
-            labels[a], labels[b] = int(q1), int(q2)
-            sign *= int(s)
-        else:
-            idx = int(op.params[0]) if op.kind == "C1Q" else _KIND_TO_CLIFFORD[op.kind]
-            q = op.qubits[0]
-            labels[q], s = clifford_conjugate_pauli(idx, labels[q])
-            sign *= s
-    return PauliFrame(tuple(labels), sign)
-
-
 # --- single-qubit merging -------------------------------------------------------
 
 
@@ -533,17 +414,6 @@ def u3_params_from_matrices(ms: np.ndarray):
     )
     phi = np.where(big_a, phi, np.angle(c) - np.angle(-b))
     return theta, phi, lam
-
-
-def merge_1q(pre: int, g: GateOp, post: int) -> GateOp:
-    """Fold Pauli labels around a 1-qubit gate into a single U3 gate.
-
-    The returned gate's unitary equals ``P_post @ g @ P_pre`` up to global phase.
-    """
-    if GATE_ARITY[g.kind] != 1:
-        raise ContractError("merge_1q requires a single-qubit gate")
-    m = PAULI_MATS[post] @ g.matrix() @ PAULI_MATS[pre]
-    return GateOp("U3", u3_params_from_matrix(m), g.qubits)
 
 
 # --- coupling graph --------------------------------------------------------------

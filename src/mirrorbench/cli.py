@@ -237,12 +237,14 @@ def generate(config_path: str, out_dir: str):
                f"in {time.monotonic() - t0:.2f}s -> {out_dir}")
 
 
+def _shot_seed(master: int, circuit_id: str) -> int:
+    return int(derive_seed(master, circuit_id, "shots").integers(0, 2 ** 31))
+
+
 def _simulate_one(payload):
     from mirrorbench.storage import circuit_from_json
-    line, nm_dict, shots, seed, fake = payload
+    line, nm_dict, shots, seed = payload
     c = circuit_from_json(line)
-    if fake:
-        return fake_uniform_shots(c.n, shots, seed, c.id), None
     try:
         return sample_shots(c, NoiseModel.from_dict(nm_dict), shots, seed), None
     except CapacityError as e:
@@ -271,25 +273,32 @@ def simulate(out_dir, noise_path, fake_uniform, shots, seed, jobs):
     if shots is None:
         shots = int(manifest.sampling.get("shots", 1000))
     master = seed if seed is not None else int(cfg["seed"])
-    mirror_ids = {r["id"] for r in manifest.mirror_records()}
+    mirrors = manifest.mirror_records()
 
-    payloads = []
-    with open(os.path.join(out_dir, "circuits.jsonl"), encoding="utf-8") as fp:
-        for line in fp:
-            line = line.strip()
-            if not line:
-                continue
-            cid = json.loads(line)["id"]
-            if cid not in mirror_ids:
-                continue
-            s = int(derive_seed(master, cid, "shots").integers(0, 2 ** 31))
-            payloads.append((line, nm.to_dict(), shots, s, fake_uniform))
+    if fake_uniform:
+        # Uniform shots need only each proxy's width and id, and the manifest
+        # lists the proxies in circuits.jsonl order.
+        payloads = [(r["width"], _shot_seed(master, r["id"]), r["id"]) for r in mirrors]
+    else:
+        payloads = []
+        mirror_ids = {r["id"] for r in mirrors}
+        with open(os.path.join(out_dir, "circuits.jsonl"), encoding="utf-8") as fp:
+            for line in fp:
+                line = line.strip()
+                if not line:
+                    continue
+                cid = json.loads(line)["id"]
+                if cid in mirror_ids:
+                    payloads.append((line, nm.to_dict(), shots, _shot_seed(master, cid)))
 
     failures = []
     with contextlib.ExitStack() as stack:
         fp = stack.enter_context(
             open(os.path.join(out_dir, "shots.jsonl"), "w", encoding="utf-8"))
-        if jobs > 1:
+        if fake_uniform:
+            results = ((fake_uniform_shots(n, shots, s, cid), None)
+                       for n, s, cid in payloads)
+        elif jobs > 1:
             from concurrent.futures import ProcessPoolExecutor
             ex = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
             results = ex.map(_simulate_one, payloads, chunksize=8)
@@ -358,7 +367,7 @@ def _write_results(out_dir: str, records: list[FidelityRecord]):
 
 @main.command()
 @click.option("--out", "out_dir", required=True, type=click.Path(exists=True))
-@click.option("--bootstrap", type=int, default=200)
+@click.option("--bootstrap", type=click.IntRange(min=2), default=200)
 def analyze(out_dir, bootstrap):
     """Estimate fidelities for every benchmark; write results.csv."""
     t0 = time.monotonic()
@@ -422,7 +431,7 @@ def report(out_dir):
 
 @main.command()
 @click.option("--out", "out_dir", required=True, type=click.Path(exists=True))
-@click.option("--max-n", type=int, default=6,
+@click.option("--max-n", type=click.IntRange(min=1), default=6,
               help="Largest width for the exact oracle.")
 def oracle(out_dir, max_n):
     """Exact process fidelities (n <= max-n) next to the estimates."""
@@ -431,15 +440,21 @@ def oracle(out_dir, max_n):
     with open(os.path.join(out_dir, "config.json"), encoding="utf-8") as fp:
         cfg = json.load(fp)
     nm = _noise_from(cfg.get("noise"))
+    manifest = read_manifest(os.path.join(out_dir, "manifest.json"))
+    qualifying = {r["id"] for r in manifest.records
+                  if r["kind"] == "benchmark" and r["width"] <= max_n and r["id"] in f_hat}
     out_rows = []
-    with open(os.path.join(out_dir, "circuits.jsonl"), encoding="utf-8") as fp:
-        benchmark_ids = set(f_hat)
-        for c in read_circuits(fp):
-            if c.id in benchmark_ids and c.n <= max_n:
+    if qualifying:
+        with open(os.path.join(out_dir, "circuits.jsonl"), encoding="utf-8") as fp:
+            for c in read_circuits(fp):
+                if c.id not in qualifying:
+                    continue
                 f = exact_process_fidelity(c, nm, max_n=max_n)
                 est = f_hat[c.id]
                 dev = abs(est - f) if not math.isnan(est) else float("nan")
                 out_rows.append((c.id, f, est, dev))
+                if len(out_rows) == len(qualifying):
+                    break
     with open(os.path.join(out_dir, "oracle.csv"), "w", encoding="utf-8",
               newline="") as fp:
         w = csv.writer(fp)

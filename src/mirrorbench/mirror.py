@@ -7,12 +7,13 @@ Three proxy kinds are produced for a benchmark circuit c:
 * M2: as M1 but the forward half is randomized-compiled too.
 * M3: [prefix] [random Pauli layer] [closing] -- a SPAM-only circuit.
 
-Randomized compilation maintains a running Pauli frame. Two-qubit (CZ)
-gates are copied verbatim and the frame is conjugated through them; every
-single-qubit gate absorbs the incoming frame label and a fresh uniformly
-random Pauli label into one U3 gate. The net ideal unitary of each proxy is
-a Pauli operator, so its error-free outcome is a single known bitstring
-(the target): bit i flips wherever the final Pauli is X or Y.
+Randomized compilation maintains a running Pauli frame: one IXYZ label per
+qubit, advanced a layer at a time. Two-qubit (CZ) gates are copied verbatim
+and the frame is conjugated through them with one ``PAULI_CONJ_CZ`` gather;
+every single-qubit gate absorbs the incoming frame label and a fresh
+uniformly random Pauli label into one U3 gate. The net ideal unitary of each
+proxy is a Pauli operator, so its error-free outcome is a single known
+bitstring (the target): bit i flips wherever the final Pauli is X or Y.
 """
 
 from __future__ import annotations
@@ -23,21 +24,22 @@ import numpy as np
 
 from mirrorbench.circuits import (
     CLIFFORD_INDEX_OF_PAULI,
+    CLIFFORD_INV,
     CLIFFORD_MATS,
     Circuit,
     ContractError,
     GateOp,
     MIRRORABLE_KINDS,
+    PAULI_CONJ_C1Q,
+    PAULI_CONJ_CZ,
     PAULI_MATS,
-    clifford_conjugate_pauli,
-    clifford_inverse_index,
     gate_matrix,
     u3_params_from_matrices,
-    _2Q_CONJ,
 )
 from mirrorbench.sim import derive_seed
 
-__all__ = ["MirrorCircuit", "SamplingParams", "make_m1", "make_m2", "make_m3", "build_suite"]
+__all__ = ["MirrorCircuit", "SamplingParams", "check_native", "make_m1", "make_m2",
+           "make_m3", "build_suite"]
 
 
 @dataclass(frozen=True)
@@ -65,11 +67,14 @@ class SamplingParams:
             raise ContractError("mirror counts must be >= 1")
 
 
-def _check_mirrorable(c: Circuit):
+def check_native(c: Circuit, mode: str):
+    """Raise ``ContractError`` unless every gate of c is one mirrors accept."""
     for op in c.ops():
         if op.kind not in MIRRORABLE_KINDS:
             raise ContractError(
-                f"gate kind {op.kind} is not in the native set; transpile first")
+                f"circuit {c.id!r} contains non-native gate {op.kind}; "
+                f"{mode} benchmarks require native circuits -- use a "
+                f"full-stack benchmark (or transpile first)")
 
 
 def _matrices_of_1q_ops(ops: list[GateOp]) -> np.ndarray:
@@ -111,16 +116,15 @@ def _rc_layer(layer, labels: np.ndarray, rng, invert: bool) -> tuple:
     """Randomize-compile one layer in place (labels updated), return emitted layer.
 
     ``invert`` replaces each single-qubit gate by its inverse (used for the
-    mirror half). Two-qubit gates must be self-inverse (CZ is).
+    mirror half). The only two-qubit kind in the native set is CZ, which is
+    self-inverse.
     """
     ops_1q = [op for op in layer if len(op.qubits) == 1]
     ops_2q = [op for op in layer if len(op.qubits) == 2]
-    emitted = []
-    for op in ops_2q:
-        emitted.append(op)
-        a, b = op.qubits
-        q1, q2, _ = _2Q_CONJ[op.kind][labels[a], labels[b]]
-        labels[a], labels[b] = q1, q2
+    emitted = list(ops_2q)
+    if ops_2q:
+        a, b = np.array([op.qubits for op in ops_2q]).T
+        labels[a], labels[b] = PAULI_CONJ_CZ[labels[a], labels[b]].T
     if ops_1q:
         qs = np.array([op.qubits[0] for op in ops_1q])
         mats = _matrices_of_1q_ops(ops_1q)
@@ -142,48 +146,39 @@ def _prefix_layer(n: int, rng) -> tuple[np.ndarray, tuple]:
     return idx, layer
 
 
-def _closing(n: int, prefix_idx: np.ndarray, labels: np.ndarray) -> tuple[tuple, str]:
+def _closing(prefix_idx: np.ndarray, labels: np.ndarray) -> tuple[tuple, str]:
     """Closing layer of prefix inverses, plus the target from the residual frame."""
-    ops = []
-    bits = []
-    for q in range(n):
-        inv = clifford_inverse_index(int(prefix_idx[q]))
-        ops.append(GateOp("C1Q", (float(inv),), (q,)))
-        final, _ = clifford_conjugate_pauli(inv, int(labels[q]))
-        bits.append("1" if final in (1, 2) else "0")
-    return tuple(ops), "".join(bits)
+    inv = CLIFFORD_INV[prefix_idx]
+    ops = tuple(GateOp("C1Q", (float(i),), (q,)) for q, i in enumerate(inv))
+    final = PAULI_CONJ_C1Q[inv, labels]
+    return ops, "".join(np.where((final == 1) | (final == 2), "1", "0"))
+
+
+def _make_mirror(c: Circuit, rng, kind: str, circuit_id: str | None) -> MirrorCircuit:
+    """M1 keeps c verbatim; M2 randomize-compiles it too. Both then append the
+    randomized-compiled layer-by-layer inverse and the closing layer."""
+    check_native(c, "mirror")
+    prefix_idx, prefix = _prefix_layer(c.n, rng)
+    labels = np.zeros(c.n, dtype=np.int64)
+    if kind == "M2":
+        forward = [_rc_layer(layer, labels, rng, invert=False) for layer in c.layers]
+    else:
+        forward = list(c.layers)
+    backward = [_rc_layer(layer, labels, rng, invert=True) for layer in reversed(c.layers)]
+    close, target = _closing(prefix_idx, labels)
+    circ = Circuit(c.n, (prefix, *forward, *backward, close),
+                   circuit_id or f"{c.id}.{kind.lower()}")
+    return MirrorCircuit(circ, kind, c.id, target)
 
 
 def make_m1(c: Circuit, rng, *, circuit_id: str | None = None) -> MirrorCircuit:
     """c unchanged, followed by a randomized compilation of its inverse."""
-    _check_mirrorable(c)
-    n = c.n
-    prefix_idx, prefix = _prefix_layer(n, rng)
-    labels = np.zeros(n, dtype=np.int64)
-    layers = [prefix, *c.layers]
-    for layer in reversed(c.layers):
-        layers.append(_rc_layer(layer, labels, rng, invert=True))
-    close, target = _closing(n, prefix_idx, labels)
-    layers.append(close)
-    circ = Circuit(n, tuple(layers), circuit_id or c.id + ".m1")
-    return MirrorCircuit(circ, "M1", c.id, target)
+    return _make_mirror(c, rng, "M1", circuit_id)
 
 
 def make_m2(c: Circuit, rng, *, circuit_id: str | None = None) -> MirrorCircuit:
     """Randomized compilation of both c and its layer-by-layer inverse."""
-    _check_mirrorable(c)
-    n = c.n
-    prefix_idx, prefix = _prefix_layer(n, rng)
-    labels = np.zeros(n, dtype=np.int64)
-    layers = [prefix]
-    for layer in c.layers:
-        layers.append(_rc_layer(layer, labels, rng, invert=False))
-    for layer in reversed(c.layers):
-        layers.append(_rc_layer(layer, labels, rng, invert=True))
-    close, target = _closing(n, prefix_idx, labels)
-    layers.append(close)
-    circ = Circuit(n, tuple(layers), circuit_id or c.id + ".m2")
-    return MirrorCircuit(circ, "M2", c.id, target)
+    return _make_mirror(c, rng, "M2", circuit_id)
 
 
 def make_m3(n: int, rng, *, parent_id: str | None = None,
@@ -196,7 +191,7 @@ def make_m3(n: int, rng, *, parent_id: str | None = None,
     pauli_layer = tuple(
         GateOp("C1Q", (float(CLIFFORD_INDEX_OF_PAULI[int(l)]),), (q,))
         for q, l in enumerate(labels))
-    close, target = _closing(n, prefix_idx, labels)
+    close, target = _closing(prefix_idx, labels)
     circ = Circuit(n, (prefix, pauli_layer, close), circuit_id or "m3")
     return MirrorCircuit(circ, "M3", parent_id, target)
 

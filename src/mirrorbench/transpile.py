@@ -135,7 +135,7 @@ def _emit_1q(m: np.ndarray, q: int) -> list[GateOp]:
     ]
 
 
-def _merge_1q_runs(n: int, flat: list[GateOp]) -> list[GateOp]:
+def _fuse_1q_runs(n: int, flat: list[GateOp]) -> list[GateOp]:
     """Collapse maximal single-qubit runs into RZ / RZ-SX-RZ-SX-RZ sequences."""
     pending: list[np.ndarray | None] = [None] * n
     out: list[GateOp] = []
@@ -165,7 +165,7 @@ def decompose_to_basis(c: Circuit) -> Circuit:
     flat: list[GateOp] = []
     for op in c.ops():
         flat.extend(_expand_op(op))
-    flat = _merge_1q_runs(c.n, flat)
+    flat = _fuse_1q_runs(c.n, flat)
     assert all(op.kind in NATIVE_KINDS for op in flat)
     return Circuit(c.n, layerize(c.n, flat), c.id, dict(c.meta))
 

@@ -88,14 +88,23 @@ class TestPipeline:
         assert len(rows) == 1
         assert abs(float(rows[0]["F_hat"]) - 1.0) < 0.05
 
-    @pytest.mark.parametrize("args", [["--shots", "0"], ["--shots", "-5"],
-                                      ["--jobs", "0"]])
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--shots", "0"], ["simulate", "--shots", "-5"],
+        ["simulate", "--jobs", "0"], ["analyze", "--bootstrap", "0"],
+        ["analyze", "--bootstrap", "1"], ["oracle", "--max-n", "0"]])
     def test_simulate_non_positive_count_exits_2(self, runner, tmp_path, args):
+        # Covers the count options of every stage; the earlier stages run
+        # first, so only the option can make the stage fail.
+        stages = {"simulate": "shots.jsonl", "analyze": "results.csv",
+                  "oracle": "oracle.csv"}
+        stage, *opts = args
         out = self._generate(runner, tmp_path)
-        result = runner.invoke(main, ["simulate", "--out", out, *args])
+        for earlier in list(stages)[:list(stages).index(stage)]:
+            run_ok(runner, [earlier, "--out", out])
+        result = runner.invoke(main, [stage, "--out", out, *opts])
         assert result.exit_code == 2, result.output
         assert "Traceback" not in result.output
-        assert not os.path.exists(os.path.join(out, "shots.jsonl"))
+        assert not os.path.exists(os.path.join(out, stages[stage]))
 
     def test_analyze_without_shots_exits_3(self, runner, tmp_path):
         out = self._generate(runner, tmp_path)

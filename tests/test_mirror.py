@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from mirrorbench.mirror import (
     make_m3,
 )
 from mirrorbench.sim import NoiseModel, ideal_distribution, noisy_unitary
+from mirrorbench.storage import circuit_to_json
 
 from tests.test_circuits import random_native_circuit
 
@@ -140,6 +143,17 @@ class TestBuildSuite:
         b = list(build_suite(c, SamplingParams(5, 5, 5, seed=3)))
         assert all(x.circuit.layers == y.circuit.layers and x.target == y.target
                    for x, y in zip(a, b))
+
+    def test_golden_brickwork_suite(self):
+        # Pins the RNG draw order and every emitted gate and target: any
+        # change to the frame engine that alters a seeded proxy fails here.
+        from mirrorbench.algos import brickwork_u3_cz
+        h = hashlib.sha256()
+        for mc in build_suite(brickwork_u3_cz(8, 12, 7), SamplingParams(3, 3, 3, 7)):
+            h.update(circuit_to_json(mc.circuit).encode())
+            h.update(mc.target.encode())
+        assert h.hexdigest() == \
+            "38f0bfde09dc7f7b1448325cdbd002a17f0e9d315dee63d8102216914ee52fa4"
 
     def test_unique_ids(self):
         rng = np.random.default_rng(2)
