@@ -75,16 +75,25 @@ def _record_for_mirror(mc: MirrorCircuit) -> dict:
             "depth": len(mc.circuit.layers)}
 
 
-def _emit(records: list[dict], benchmarks: list[tuple[Circuit, dict]],
-          params: SamplingParams) -> Iterator[Circuit]:
-    for b, rec in benchmarks:
-        records.append(rec)
-        yield b
-    for b, _ in benchmarks:
-        for mc in build_suite(b, params):
-            records.append(_record_for_mirror(mc))
-            mc.circuit.meta["target"] = mc.target
-            yield mc.circuit
+def _suite(benchmark_type: str, benchmarks: list[tuple[Circuit, dict]],
+           params: SamplingParams, shots: int) -> BenchmarkSuite:
+    """The suite of these benchmarks: each benchmark, then all their proxies."""
+    records: list[dict] = []
+
+    def emit() -> Iterator[Circuit]:
+        for b, rec in benchmarks:
+            records.append(rec)
+            yield b
+        for b, _ in benchmarks:
+            for mc in build_suite(b, params):
+                records.append(_record_for_mirror(mc))
+                mc.circuit.meta["target"] = mc.target
+                yield mc.circuit
+
+    manifest = Manifest(benchmark_type,
+                        {"m1": params.m1, "m2": params.m2, "m3": params.m3,
+                         "shots": shots, "seed": params.seed}, records)
+    return BenchmarkSuite(manifest, emit())
 
 
 def build_low_level(circuits: list[Circuit], params: SamplingParams,
@@ -92,12 +101,8 @@ def build_low_level(circuits: list[Circuit], params: SamplingParams,
     """B = C: benchmark the inputs directly. All inputs must be native."""
     for c in circuits:
         check_native(c, "low-level")
-    records: list[dict] = []
-    manifest = Manifest("low_level",
-                        {"m1": params.m1, "m2": params.m2, "m3": params.m3,
-                         "shots": shots, "seed": params.seed}, records)
-    gen = _emit(records, [(c, _record_for_benchmark(c)) for c in circuits], params)
-    return BenchmarkSuite(manifest, gen)
+    return _suite("low_level", [(c, _record_for_benchmark(c)) for c in circuits],
+                  params, shots)
 
 
 def build_full_stack(circuits: list[Circuit], cfg: TranspileConfig, reps: int,
@@ -136,11 +141,7 @@ def build_full_stack(circuits: list[Circuit], cfg: TranspileConfig, reps: int,
                 transpile_config_digest=rcfg.digest(),
                 permutation=list(compiled.meta.get("permutation", ())))
             benchmarks.append((compiled, rec))
-    records: list[dict] = []
-    manifest = Manifest("full_stack",
-                        {"m1": params.m1, "m2": params.m2, "m3": params.m3,
-                         "shots": shots, "seed": params.seed}, records)
-    return BenchmarkSuite(manifest, _emit(records, benchmarks, params))
+    return _suite("full_stack", benchmarks, params, shots)
 
 
 # --- subcircuit snipping -------------------------------------------------------------
@@ -245,8 +246,4 @@ def build_subcircuit(circuits: list[Circuit], shapes: ShapeSpec,
                     qubits=list(s.meta["snip"]["qubits"]),
                     dropped_2q=s.meta["snip"]["dropped_2q"])
                 benchmarks.append((s, rec))
-    records: list[dict] = []
-    manifest = Manifest("subcircuit",
-                        {"m1": params.m1, "m2": params.m2, "m3": params.m3,
-                         "shots": shots, "seed": params.seed}, records)
-    return BenchmarkSuite(manifest, _emit(records, benchmarks, params))
+    return _suite("subcircuit", benchmarks, params, shots)

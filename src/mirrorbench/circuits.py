@@ -15,8 +15,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import hashlib
 import math
-import uuid
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -33,7 +33,6 @@ __all__ = [
     "TWO_QUBIT_KINDS",
     "NATIVE_KINDS",
     "CLIFFORD_MATS",
-    "NUM_CLIFFORDS",
     "CLIFFORD_INV",
     "PAULI_CONJ_C1Q",
     "PAULI_CONJ_CZ",
@@ -132,7 +131,6 @@ def _build_clifford_table() -> np.ndarray:
 
 
 CLIFFORD_MATS = _build_clifford_table()
-NUM_CLIFFORDS = 24
 _CLIFFORD_KEY_TO_INDEX = {_mat_key(CLIFFORD_MATS[i]): i for i in range(24)}
 
 
@@ -251,11 +249,16 @@ def _check_layer(layer: Layer, n: int):
 
 @dataclass(frozen=True, slots=True)
 class Circuit:
-    """An n-qubit circuit as an ordered sequence of layers of disjoint gates."""
+    """An n-qubit circuit as an ordered sequence of layers of disjoint gates.
+
+    Without an ``id``, the circuit is named by a digest of ``n`` and its
+    layers, so equal circuits get equal ids (and equal seeded shots) in every
+    process.
+    """
 
     n: int
     layers: tuple[Layer, ...] = ()
-    id: str = field(default_factory=lambda: uuid.uuid4().hex[:12])
+    id: str | None = None
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
@@ -264,6 +267,12 @@ class Circuit:
         object.__setattr__(self, "layers", tuple(tuple(l) for l in self.layers))
         for layer in self.layers:
             _check_layer(layer, self.n)
+        if self.id is None:
+            # Plain floats and ints, so that numpy scalars name the same circuit.
+            spec = [[(op.kind, [float(p) for p in op.params], [int(q) for q in op.qubits])
+                     for op in layer] for layer in self.layers]
+            digest = hashlib.sha256(repr((int(self.n), spec)).encode()).hexdigest()
+            object.__setattr__(self, "id", digest[:12])
 
     @property
     def depth(self) -> int:
@@ -282,11 +291,6 @@ class Circuit:
 
     def with_id(self, new_id: str) -> "Circuit":
         return Circuit(self.n, self.layers, new_id, dict(self.meta))
-
-    def with_meta(self, **updates) -> "Circuit":
-        meta = dict(self.meta)
-        meta.update(updates)
-        return Circuit(self.n, self.layers, self.id, meta)
 
 
 def layerize(n: int, ops, *, barriers=()) -> tuple[Layer, ...]:
@@ -434,7 +438,7 @@ class CouplingGraph:
                 raise ContractError("self-loop in coupling graph")
             if not (0 <= a < self.n and 0 <= b < self.n):
                 raise ContractError("coupling edge out of range")
-        if self.n > 1 and len(self._components()) != 1:
+        if self.n > 1 and -1 in self.distances_from(0):
             raise ContractError("coupling graph must be connected")
 
     @classmethod
@@ -463,20 +467,3 @@ class CouplingGraph:
                     dist[r] = dist[q] + 1
                     queue.append(r)
         return dist
-
-    def _components(self) -> list[set[int]]:
-        left = set(range(self.n))
-        comps = []
-        while left:
-            src = next(iter(left))
-            comp = {src}
-            queue = deque([src])
-            while queue:
-                q = queue.popleft()
-                for r in self.neighbors(q):
-                    if r not in comp:
-                        comp.add(r)
-                        queue.append(r)
-            left -= comp
-            comps.append(comp)
-        return comps

@@ -11,15 +11,18 @@ Each stage reads and writes files in one experiment directory:
     report.svg      volumetric summary plot
     summary.txt     human-readable report
 
-Exit codes: 0 success, 1 partial simulation failure, 2 config error,
-3 missing data.
+Every stage reads the noise model and seed from the config.json that
+generate wrote, and from nowhere else.
+
+Exit codes: 0 success, 1 partial simulation failure, 2 usage or config error
+(a bad option, config value, input file or artifact), 3 missing data (a file
+an earlier stage writes). Exit codes 2 and 3 print one line on stderr.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
-import io
 import json
 import math
 import os
@@ -27,7 +30,6 @@ import sys
 import time
 
 import click
-import numpy as np
 
 from mirrorbench import algos
 from mirrorbench.algos import PauliSumHamiltonian, TrotterSpec
@@ -40,7 +42,7 @@ from mirrorbench.bench import (
 )
 from mirrorbench.circuits import CapacityError, Circuit, ContractError, CouplingGraph
 from mirrorbench.mirror import SamplingParams
-from mirrorbench.qasm import parse_qasm
+from mirrorbench.qasm import QasmError, parse_qasm
 from mirrorbench.sim import (
     NoiseModel,
     ShotTable,
@@ -73,7 +75,23 @@ EXIT_MISSING = 3
 
 
 class ConfigError(Exception):
-    pass
+    """A configuration value, or an input file it names, is unusable."""
+
+
+class MissingDataError(Exception):
+    """An experiment file that an earlier stage writes is absent."""
+
+
+_WRITTEN_BY = {"shots.jsonl": "simulate", "results.csv": "analyze"}
+
+
+def _input(out_dir: str, name: str) -> str:
+    """Path of an experiment file, or a MissingDataError naming its stage."""
+    path = os.path.join(out_dir, name)
+    if not os.path.exists(path):
+        stage = _WRITTEN_BY.get(name, "generate")
+        raise MissingDataError(f"{name} not found in {out_dir} (run {stage})")
+    return path
 
 
 # --- configuration ------------------------------------------------------------------
@@ -85,15 +103,11 @@ def _require(cfg: dict, key: str, where: str = "config"):
     return cfg[key]
 
 
-def _coupling_from(obj, n_hint: int | None) -> CouplingGraph:
+def _coupling_from(obj, n: int) -> CouplingGraph:
     if obj == "line":
-        if n_hint is None:
-            raise ConfigError("coupling 'line' needs circuit width context")
-        return CouplingGraph.line(n_hint)
+        return CouplingGraph.line(n)
     if obj == "all_to_all":
-        if n_hint is None:
-            raise ConfigError("coupling 'all_to_all' needs circuit width context")
-        return CouplingGraph.all_to_all(n_hint)
+        return CouplingGraph.all_to_all(n)
     if isinstance(obj, dict):
         return CouplingGraph(obj["n"], frozenset(tuple(e) for e in obj["edges"]))
     raise ConfigError(f"bad coupling spec {obj!r}")
@@ -154,7 +168,7 @@ def _load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fp:
             cfg = json.load(fp)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
@@ -163,7 +177,14 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"bad benchmark_type {bt!r}")
     if "seed" not in cfg:
         raise ConfigError("config: 'seed' is mandatory (reproducibility)")
+    _noise(cfg)  # simulate and oracle read it; generate rejects it before writing
     return cfg
+
+
+def _experiment(out_dir: str) -> tuple[dict, Manifest]:
+    """The config and manifest that ``generate`` left in an experiment directory."""
+    return (_load_config(_input(out_dir, "config.json")),
+            read_manifest(_input(out_dir, "manifest.json")))
 
 
 def _sampling_from(cfg: dict) -> SamplingParams:
@@ -172,41 +193,66 @@ def _sampling_from(cfg: dict) -> SamplingParams:
                           int(s.get("m3", 10)), int(cfg["seed"]))
 
 
-def _noise_from(obj: dict | None) -> NoiseModel:
-    if not obj:
-        return NoiseModel.noiseless()
-    return NoiseModel.from_dict(obj)
+def _noise(cfg: dict) -> NoiseModel:
+    try:
+        return NoiseModel.from_dict(cfg.get("noise") or {})
+    except (AttributeError, TypeError, ValueError) as e:
+        raise ConfigError(f"bad noise ({e})") from None
 
 
 def _build(cfg: dict) -> BenchmarkSuite:
-    circuits = _input_circuits(cfg)
-    params = _sampling_from(cfg)
-    shots = int(cfg.get("shots", 1000))
-    bt = cfg["benchmark_type"]
-    if cfg.get("compile_to_native") and bt != "full_stack":
-        from mirrorbench.transpile import decompose_to_basis
-        circuits = [decompose_to_basis(c) for c in circuits]
-    if bt == "low_level":
-        return build_low_level(circuits, params, shots)
-    if bt == "full_stack":
-        tc = cfg.get("transpile", {})
-        n_hint = max(c.n for c in circuits)
-        coupling = _coupling_from(tc.get("coupling", "all_to_all"), n_hint)
-        tcfg = TranspileConfig(coupling,
-                               float(tc.get("approximation_degree", 1.0)),
-                               int(cfg["seed"]))
-        return build_full_stack(circuits, tcfg, int(tc.get("reps", 1)),
-                                params, shots)
-    shapes_cfg = _require(cfg, "shapes")
-    shapes = ShapeSpec(tuple(tuple(s) for s in shapes_cfg["shapes"]),
-                       int(shapes_cfg.get("samples_per_shape", 30)))
-    return build_subcircuit(circuits, shapes, params, shots)
+    """The suite a config describes; every bad value in it is a ConfigError."""
+    try:
+        circuits = _input_circuits(cfg)
+        params = _sampling_from(cfg)
+        shots = int(cfg.get("shots", 1000))
+        bt = cfg["benchmark_type"]
+        if cfg.get("compile_to_native") and bt != "full_stack":
+            from mirrorbench.transpile import decompose_to_basis
+            circuits = [decompose_to_basis(c) for c in circuits]
+        if bt == "low_level":
+            return build_low_level(circuits, params, shots)
+        if bt == "full_stack":
+            tc = cfg.get("transpile", {})
+            coupling = _coupling_from(tc.get("coupling", "all_to_all"),
+                                      max(c.n for c in circuits))
+            tcfg = TranspileConfig(coupling,
+                                   float(tc.get("approximation_degree", 1.0)),
+                                   int(cfg["seed"]))
+            return build_full_stack(circuits, tcfg, int(tc.get("reps", 1)),
+                                    params, shots)
+        shapes_cfg = _require(cfg, "shapes")
+        shapes = ShapeSpec(tuple(tuple(s) for s in shapes_cfg["shapes"]),
+                           int(shapes_cfg.get("samples_per_shape", 30)))
+        return build_subcircuit(circuits, shapes, params, shots)
+    except KeyError as e:
+        raise ConfigError(f"missing key {e}") from None
+    except (AttributeError, TypeError, ValueError) as e:
+        raise ConfigError(f"bad value ({e})") from None
+    except OSError as e:
+        raise ConfigError(f"cannot read input file: {e}") from None
 
 
 # --- commands ------------------------------------------------------------------------
 
 
-@click.group()
+class _ErrorBoundary(click.Group):
+    """Ends every stage's expected failure with one stderr line and its exit code."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as e:
+            code, message = e.exit_code, f"usage error: {e.format_message()}"
+        except (ConfigError, ContractError, SchemaError, QasmError) as e:
+            code, message = EXIT_CONFIG, f"config error: {e}"
+        except MissingDataError as e:
+            code, message = EXIT_MISSING, f"missing data: {e}"
+        click.echo(" ".join(message.splitlines()), err=True)
+        sys.exit(code)
+
+
+@click.group(cls=_ErrorBoundary)
 def main():
     """Scalable mirror-circuit fidelity benchmarks."""
 
@@ -217,21 +263,15 @@ def main():
 def generate(config_path: str, out_dir: str):
     """Create a benchmark suite: manifest.json + circuits.jsonl."""
     t0 = time.monotonic()
-    try:
-        cfg = _load_config(config_path)
-        suite = _build(cfg)
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "circuits.jsonl"), "w",
-                  encoding="utf-8") as fp:
-            count = write_circuits(fp, suite.circuits)
-        write_manifest(os.path.join(out_dir, "manifest.json"), suite.manifest)
-        with open(os.path.join(out_dir, "config.json"), "w",
-                  encoding="utf-8") as fp:
-            json.dump(cfg, fp, indent=1)
-            fp.write("\n")
-    except (ConfigError, SchemaError, ContractError) as e:
-        click.echo(f"config error: {e}", err=True)
-        sys.exit(EXIT_CONFIG)
+    cfg = _load_config(config_path)
+    suite = _build(cfg)
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "circuits.jsonl"), "w", encoding="utf-8") as fp:
+        count = write_circuits(fp, suite.circuits)
+    write_manifest(os.path.join(out_dir, "manifest.json"), suite.manifest)
+    with open(os.path.join(out_dir, "config.json"), "w", encoding="utf-8") as fp:
+        json.dump(cfg, fp, indent=1)
+        fp.write("\n")
     proxies = sum(1 for r in suite.manifest.records if r["kind"] in ("M1", "M2", "M3"))
     click.echo(f"generated {count} circuits ({proxies} proxies) "
                f"in {time.monotonic() - t0:.2f}s -> {out_dir}")
@@ -253,26 +293,18 @@ def _simulate_one(payload):
 
 @main.command()
 @click.option("--out", "out_dir", required=True, type=click.Path(exists=True))
-@click.option("--noise", "noise_path", type=click.Path(exists=True))
 @click.option("--fake-uniform", is_flag=True,
               help="Emit uniform random shot tables instead of simulating.")
 @click.option("--shots", type=click.IntRange(min=1), default=None)
-@click.option("--seed", type=int, default=None)
 @click.option("--jobs", type=click.IntRange(min=1), default=1)
-def simulate(out_dir, noise_path, fake_uniform, shots, seed, jobs):
+def simulate(out_dir, fake_uniform, shots, jobs):
     """Produce shots.jsonl for every proxy circuit in the suite."""
     t0 = time.monotonic()
-    manifest = read_manifest(os.path.join(out_dir, "manifest.json"))
-    with open(os.path.join(out_dir, "config.json"), encoding="utf-8") as fp:
-        cfg = json.load(fp)
-    if noise_path:
-        with open(noise_path, encoding="utf-8") as fp:
-            nm = _noise_from(json.load(fp))
-    else:
-        nm = _noise_from(cfg.get("noise"))
+    cfg, manifest = _experiment(out_dir)
+    nm = _noise(cfg)
     if shots is None:
         shots = int(manifest.sampling.get("shots", 1000))
-    master = seed if seed is not None else int(cfg["seed"])
+    master = int(cfg["seed"])
     mirrors = manifest.mirror_records()
 
     if fake_uniform:
@@ -282,7 +314,7 @@ def simulate(out_dir, noise_path, fake_uniform, shots, seed, jobs):
     else:
         payloads = []
         mirror_ids = {r["id"] for r in mirrors}
-        with open(os.path.join(out_dir, "circuits.jsonl"), encoding="utf-8") as fp:
+        with open(_input(out_dir, "circuits.jsonl"), encoding="utf-8") as fp:
             for line in fp:
                 line = line.strip()
                 if not line:
@@ -322,22 +354,15 @@ RESULT_COLUMNS = ["benchmark_id", "kind", "width", "depth", "shape_w", "shape_d"
 
 
 def _analyze_records(out_dir: str, bootstrap: int = 200) -> list[FidelityRecord]:
-    manifest = read_manifest(os.path.join(out_dir, "manifest.json"))
-    with open(os.path.join(out_dir, "config.json"), encoding="utf-8") as fp:
-        cfg = json.load(fp)
-    shots_path = os.path.join(out_dir, "shots.jsonl")
-    if not os.path.exists(shots_path):
-        click.echo("missing data: shots.jsonl not found (run simulate)", err=True)
-        sys.exit(EXIT_MISSING)
-    with open(shots_path, encoding="utf-8") as fp:
+    cfg, manifest = _experiment(out_dir)
+    with open(_input(out_dir, "shots.jsonl"), encoding="utf-8") as fp:
         tables = {t.circuit_id: t for t in read_shot_tables(fp)}
     benchmarks = [r for r in manifest.records if r["kind"] == "benchmark"]
     mirrors = manifest.mirror_records()
     missing = [r["id"] for r in mirrors if r["id"] not in tables]
     if missing:
-        click.echo("missing data: no shots for " + ", ".join(missing[:20]) +
-                   (" ..." if len(missing) > 20 else ""), err=True)
-        sys.exit(EXIT_MISSING)
+        raise MissingDataError("no shots for " + ", ".join(missing[:20]) +
+                               (" ..." if len(missing) > 20 else ""))
     records = []
     for b in benchmarks:
         by_kind: dict[str, list[tuple[ShotTable, str]]] = {"M1": [], "M2": [], "M3": []}
@@ -377,11 +402,7 @@ def analyze(out_dir, bootstrap):
 
 
 def _read_results(out_dir: str) -> list[dict]:
-    path = os.path.join(out_dir, "results.csv")
-    if not os.path.exists(path):
-        click.echo("missing data: results.csv not found (run analyze)", err=True)
-        sys.exit(EXIT_MISSING)
-    with open(path, encoding="utf-8", newline="") as fp:
+    with open(_input(out_dir, "results.csv"), encoding="utf-8", newline="") as fp:
         return list(csv.DictReader(fp))
 
 
@@ -390,8 +411,7 @@ def _read_results(out_dir: str) -> list[dict]:
 def report(out_dir):
     """Render report.svg and summary.txt from results.csv."""
     rows = _read_results(out_dir)
-    with open(os.path.join(out_dir, "config.json"), encoding="utf-8") as fp:
-        cfg = json.load(fp)
+    cfg = _load_config(_input(out_dir, "config.json"))
     recs = []
     for row in rows:
         shape = ((int(row["shape_w"]), int(row["shape_d"]))
@@ -409,7 +429,7 @@ def report(out_dir):
     if family.get("kind") == "trotter":
         h = _hamiltonian_from(family["hamiltonian"])
         lines += ["", "trotter fidelities (algorithmic / noise / full):"]
-        with open(os.path.join(out_dir, "circuits.jsonl"), encoding="utf-8") as fp:
+        with open(_input(out_dir, "circuits.jsonl"), encoding="utf-8") as fp:
             meta_by_id = {}
             for c in read_circuits(fp):
                 if "trotter" in c.meta:
@@ -437,15 +457,13 @@ def oracle(out_dir, max_n):
     """Exact process fidelities (n <= max-n) next to the estimates."""
     rows = _read_results(out_dir)
     f_hat = {row["benchmark_id"]: float(row["F_hat"]) for row in rows}
-    with open(os.path.join(out_dir, "config.json"), encoding="utf-8") as fp:
-        cfg = json.load(fp)
-    nm = _noise_from(cfg.get("noise"))
-    manifest = read_manifest(os.path.join(out_dir, "manifest.json"))
+    cfg, manifest = _experiment(out_dir)
+    nm = _noise(cfg)
     qualifying = {r["id"] for r in manifest.records
                   if r["kind"] == "benchmark" and r["width"] <= max_n and r["id"] in f_hat}
     out_rows = []
     if qualifying:
-        with open(os.path.join(out_dir, "circuits.jsonl"), encoding="utf-8") as fp:
+        with open(_input(out_dir, "circuits.jsonl"), encoding="utf-8") as fp:
             for c in read_circuits(fp):
                 if c.id not in qualifying:
                     continue

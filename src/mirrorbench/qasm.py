@@ -261,9 +261,7 @@ def parse_qasm(text: str) -> Circuit:
             raise QasmError("mid-circuit measurement is not supported "
                             "(gates found after measure)", t.line, t.col)
 
-        key = name if name == "U" else name.lower()
-        if key == "U":
-            key = "u"
+        key = name.lower()
         if key not in _GATE_NAMES:
             raise UnsupportedGateError(f"unsupported gate {name!r}", t.line, t.col)
         kind, nparams, arity = _GATE_NAMES[key]

@@ -213,7 +213,6 @@ def route(c: Circuit, coupling: CouplingGraph, seed: int = 0) -> Circuit:
                 nxt = next_2q[i]
                 if nxt is not None:
                     la, lb = flat[nxt].qubits
-                    inv = {p: l for l, p in enumerate(phys)}
                     # distance of the next gate's endpoints after this swap
                     pla, plb = phys[la], phys[lb]
                     pla, plb = swapped.get(pla, pla), swapped.get(plb, plb)

@@ -26,6 +26,7 @@ from mirrorbench.circuits import (
     u3_params_from_matrix,
     unitary_of,
 )
+from mirrorbench.sim import NoiseModel, sample_shots
 
 RNG = np.random.default_rng(1234)
 
@@ -83,6 +84,18 @@ class TestCircuit:
     def test_depth_and_width(self):
         c = Circuit(3, ((GateOp("X", (), (0,)),), (GateOp("X", (), (0,)),)))
         assert c.n == 3 and len(c.layers) == 2
+
+    def test_default_id_names_the_content(self):
+        # sample_shots seeds from (seed, id): equal circuits must share an id.
+        def sx_layer(kind="SX"):
+            return Circuit(3, (tuple(GateOp(kind, (), (q,)) for q in range(3)),))
+
+        a, b = sx_layer(), sx_layer()
+        assert a.id == b.id != sx_layer("X").id
+        shots = [sample_shots(c, NoiseModel(), 1000, 5).counts for c in (a, b)]
+        assert shots[0] == shots[1] and len(shots[0]) == 8
+        np_params = Circuit(1, ((GateOp("RZ", (np.float64(0.5),), (np.int64(0),)),),))
+        assert np_params.id == Circuit(1, ((GateOp("RZ", (0.5,), (0,)),),)).id
 
 
 class TestLayerize:

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -32,6 +33,34 @@ def run_ok(runner, args):
     result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output
     return result
+
+
+def run_err(runner, args, code):
+    """A failing stage: its exit code, one line on stderr, no traceback."""
+    result = runner.invoke(main, args)
+    assert result.exit_code == code, result.output
+    assert len(result.stderr.splitlines()) == 1, result.stderr
+    assert "Traceback" not in result.output
+    return result
+
+
+# name -> (config changes for generate, or None for an empty directory;
+# experiment file deleted after generate; stage; exit code)
+ERROR_CASES = {
+    "simulate-empty-dir": (None, None, "simulate", 3),
+    "analyze-empty-dir": (None, None, "analyze", 3),
+    "simulate-without-circuits": ({}, "circuits.jsonl", "simulate", 3),
+    "analyze-without-shots": ({}, None, "analyze", 3),
+    "report-without-results": ({}, None, "report", 3),
+    "oracle-without-results": ({}, None, "oracle", 3),
+    "missing-qasm-file": ({"inputs": {"qasm_paths": ["no/such/dir/c.qasm"]}},
+                          None, "generate", 2),
+    "non-integer-sampling": ({"sampling": {"m1": "x"}}, None, "generate", 2),
+    "coupling-without-edges": ({"benchmark_type": "full_stack",
+                                "transpile": {"coupling": {"n": 3}}},
+                               None, "generate", 2),
+    "bad-noise": ({"noise": {"lam_1q": 3}}, None, "generate", 2),
+}
 
 
 def read_csv(path):
@@ -101,20 +130,40 @@ class TestPipeline:
         out = self._generate(runner, tmp_path)
         for earlier in list(stages)[:list(stages).index(stage)]:
             run_ok(runner, [earlier, "--out", out])
-        result = runner.invoke(main, [stage, "--out", out, *opts])
-        assert result.exit_code == 2, result.output
-        assert "Traceback" not in result.output
+        run_err(runner, [stage, "--out", out, *opts], 2)
         assert not os.path.exists(os.path.join(out, stages[stage]))
 
     def test_analyze_without_shots_exits_3(self, runner, tmp_path):
         out = self._generate(runner, tmp_path)
-        result = runner.invoke(main, ["analyze", "--out", out])
-        assert result.exit_code == 3
+        run_err(runner, ["analyze", "--out", out], 3)
 
     def test_report_without_results_exits_3(self, runner, tmp_path):
         out = self._generate(runner, tmp_path)
-        result = runner.invoke(main, ["report", "--out", out])
-        assert result.exit_code == 3
+        run_err(runner, ["report", "--out", out], 3)
+
+    @pytest.mark.parametrize("changes, delete, stage, code", ERROR_CASES.values(),
+                             ids=ERROR_CASES.keys())
+    def test_error_exits_with_documented_code(self, runner, tmp_path, changes,
+                                              delete, stage, code):
+        out = str(tmp_path / "exp")
+        if stage == "generate":
+            cfg = write_config(tmp_path, dict(BRICK_CONFIG, **changes))
+            run_err(runner, ["generate", "--config", cfg, "--out", out], code)
+            assert not os.path.exists(os.path.join(out, "manifest.json"))
+            return
+        if changes is None:
+            os.makedirs(out)
+        else:
+            out = self._generate(runner, tmp_path)
+        if delete:
+            os.remove(os.path.join(out, delete))
+        run_err(runner, [stage, "--out", out], code)
+
+    def test_simulate_takes_no_parameter_overrides(self, runner):
+        # Noise and seed come only from the experiment's config.json.
+        result = run_ok(runner, ["simulate", "--help"])
+        assert re.findall(r"^  (--[\w-]+)", result.output, re.M) == \
+            ["--out", "--fake-uniform", "--shots", "--jobs", "--help"]
 
     def test_analyze_deterministic(self, runner, tmp_path):
         out = self._generate(runner, tmp_path)
