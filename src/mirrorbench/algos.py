@@ -19,6 +19,7 @@ from mirrorbench.circuits import (
     Circuit,
     ContractError,
     GateOp,
+    KIND_CODE,
     PAULI_LABELS,
     PAULI_MATS,
     layerize,
@@ -147,19 +148,20 @@ def qaoa_circuit(n: int, seed: int, reps: int = 1) -> Circuit:
 def brickwork_u3_cz(n: int, depth: int, seed: int) -> Circuit:
     """Alternating layers of random U3 on all qubits and staggered CZ bricks."""
     rng = derive_seed(seed, "brickwork", n, depth)
-    layers = []
+    kind, qubits, params = [np.zeros(0, int)], [np.zeros((0, 2), int)], [np.zeros((0, 3))]
     for d in range(depth):
         if d % 2 == 0:
-            params = rng.uniform(0.0, 2 * PI, size=(n, 3))
-            layers.append(tuple(
-                GateOp("U3", (float(t), float(p), float(l)), (q,))
-                for q, (t, p, l) in enumerate(params)))
+            params.append(rng.uniform(0.0, 2 * PI, size=(n, 3)))
+            qubits.append(np.stack([np.arange(n), np.full(n, -1)], axis=-1))
+            kind.append(np.full(n, KIND_CODE["U3"]))
         else:
-            start = 0 if (d // 2) % 2 == 0 else 1
-            layers.append(tuple(
-                GateOp("CZ", (), (a, a + 1))
-                for a in range(start, n - 1, 2)))
-    return Circuit(n, tuple(layers), f"brick{n}x{depth}s{seed}")
+            a = np.arange(0 if (d // 2) % 2 == 0 else 1, n - 1, 2)
+            params.append(np.zeros((len(a), 3)))
+            qubits.append(np.stack([a, a + 1], axis=-1))
+            kind.append(np.full(len(a), KIND_CODE["CZ"]))
+    return Circuit.from_arrays(n, np.concatenate(kind), np.concatenate(qubits),
+                               np.concatenate(params), np.cumsum([len(k) for k in kind]),
+                               f"brick{n}x{depth}s{seed}")
 
 
 # --- Hamiltonian builders -----------------------------------------------------------

@@ -15,8 +15,6 @@ import numpy as np
 from mirrorbench.circuits import (
     Circuit,
     ContractError,
-    GateOp,
-    layerize,
     unitary_of,
 )
 from mirrorbench.mirror import MirrorCircuit, SamplingParams, build_suite, check_native
@@ -64,7 +62,7 @@ class BenchmarkSuite:
 
 def _record_for_benchmark(c: Circuit, **extra) -> dict:
     rec = {"id": c.id, "kind": "benchmark", "parent_id": None,
-           "width": c.n, "depth": len(c.layers)}
+           "width": c.n, "depth": c.depth}
     rec.update(extra)
     return rec
 
@@ -72,7 +70,7 @@ def _record_for_benchmark(c: Circuit, **extra) -> dict:
 def _record_for_mirror(mc: MirrorCircuit) -> dict:
     return {"id": mc.circuit.id, "kind": mc.kind, "parent_id": mc.parent_id,
             "target_bitstring": mc.target, "width": mc.circuit.n,
-            "depth": len(mc.circuit.layers)}
+            "depth": mc.circuit.depth}
 
 
 def _suite(benchmark_type: str, benchmarks: list[tuple[Circuit, dict]],
@@ -147,19 +145,16 @@ def build_full_stack(circuits: list[Circuit], cfg: TranspileConfig, reps: int,
 # --- subcircuit snipping -------------------------------------------------------------
 
 
-def _connected_subset(layers: tuple, active: list[int], w: int, rng) -> list[int]:
-    """Random connected w-subset on the 2q-gate graph of the window.
+def _connected_subset(pairs: np.ndarray, active: list[int], w: int, rng) -> list[int]:
+    """Random connected w-subset on the graph of the window's 2q gates (``pairs``).
 
     Falls back to window-active qubits, then to arbitrary qubits, when the
     graph cannot grow a connected component of size w.
     """
     adj: dict[int, set[int]] = {q: set() for q in active}
-    for layer in layers:
-        for op in layer:
-            if len(op.qubits) == 2:
-                a, b = op.qubits
-                adj.setdefault(a, set()).add(b)
-                adj.setdefault(b, set()).add(a)
+    for a, b in pairs.tolist():
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
     pool = list(adj)
     for _ in range(20):
         if not pool:
@@ -194,38 +189,35 @@ def snip(c: Circuit, w: int, d: int, rng) -> Circuit:
     dropped and qubits are relabeled 0..w-1. Window, subset, and dropped-gate
     count are recorded in the metadata.
     """
-    if not (1 <= w <= c.n) or not (1 <= d <= len(c.layers)):
+    if not (1 <= w <= c.n) or not (1 <= d <= c.depth):
         raise ContractError(
-            f"shape ({w}, {d}) does not fit circuit of shape ({c.n}, {len(c.layers)})")
-    start = int(rng.integers(0, len(c.layers) - d + 1))
-    window = c.layers[start:start + d]
+            f"shape ({w}, {d}) does not fit circuit of shape ({c.n}, {c.depth})")
+    start = int(rng.integers(0, c.depth - d + 1))
+    bounds = c.layer_start[start:start + d + 1]
+    window = slice(bounds[0], bounds[-1])
+    qubits = c.qubits[window]
     if w == c.n:
         subset = list(range(c.n))
     else:
-        active = sorted({q for layer in window for op in layer for q in op.qubits})
-        subset = _connected_subset(window, active, w, rng)
+        active = np.unique(qubits[qubits >= 0]).tolist()
+        subset = _connected_subset(qubits[qubits[:, 1] >= 0], active, w, rng)
         subset = [q for q in subset if q < c.n]
         extra = [q for q in range(c.n) if q not in subset]
         while len(subset) < w:
             subset.append(extra.pop(int(rng.integers(len(extra)))))
         subset = sorted(subset[:w])
-    relabel = {q: i for i, q in enumerate(subset)}
-    keep = set(subset)
-    layers = []
-    dropped = 0
-    for layer in window:
-        ops = []
-        for op in layer:
-            inside = sum(q in keep for q in op.qubits)
-            if inside == len(op.qubits):
-                ops.append(GateOp(op.kind, op.params,
-                                  tuple(relabel[q] for q in op.qubits)))
-            elif inside:
-                dropped += 1
-        layers.append(tuple(ops))
+    relabel = np.full(c.n, -1)
+    relabel[subset] = np.arange(w)
+    used = qubits >= 0
+    mapped = np.where(used, relabel[np.where(used, qubits, 0)], -1)
+    inside = (mapped >= 0).sum(axis=1)
+    keep = inside == used.sum(axis=1)
+    layer = np.repeat(np.arange(d), np.diff(bounds))
     meta = {"snip": {"parent_id": c.id, "window_start": start,
-                     "qubits": subset, "dropped_2q": dropped}}
-    return Circuit(w, tuple(layers), f"{c.id}.snip", meta)
+                     "qubits": subset, "dropped_2q": int(np.sum(~keep & (inside > 0)))}}
+    return Circuit.from_arrays(
+        w, c.kind[window][keep], mapped[keep], c.params[window][keep],
+        np.cumsum([0, *np.bincount(layer[keep], minlength=d)]), f"{c.id}.snip", meta)
 
 
 def build_subcircuit(circuits: list[Circuit], shapes: ShapeSpec,

@@ -1,5 +1,22 @@
 """Layered circuit representation, gate semantics, and Pauli conjugation tables.
 
+A ``Circuit`` is columnar: its m gates are stored once, layer after layer,
+as four flat read-only arrays.
+
+* ``kind``: ``(m,)`` int8 codes, indices into ``KINDS``;
+* ``qubits``: ``(m, 2)`` ints, padded with -1 past the kind's arity;
+* ``params``: ``(m, 3)`` floats, padded with 0 past the kind's count;
+* ``layer_start``: ``depth + 1`` offsets; layer i holds the gates
+  ``layer_start[i]:layer_start[i + 1]``.
+
+Both constructors validate the arrays with a fixed number of vectorised
+checks however deep the circuit is; a ``ContractError`` names the first
+offending gate in ``at``. Wide-circuit code (mirror construction, snipping,
+JSON storage, the noisy program) reads the arrays. ``Circuit.layers`` and
+``Circuit.ops()`` are a ``GateOp`` view with Python scalars, built on every
+call, for the narrow consumers that walk a circuit gate by gate (QASM,
+transpilation, dense unitaries and the oracles).
+
 Conventions used throughout the package:
 
 * Qubit 0 is the leftmost character of a bitstring and the most significant
@@ -15,10 +32,11 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +47,10 @@ __all__ = [
     "CapacityError",
     "ContractError",
     "GATE_ARITY",
+    "KINDS",
+    "KIND_CODE",
+    "KIND_ARITY",
+    "KIND_NPARAMS",
     "ONE_QUBIT_KINDS",
     "TWO_QUBIT_KINDS",
     "NATIVE_KINDS",
@@ -56,7 +78,15 @@ class CapacityError(Exception):
 
 
 class ContractError(Exception):
-    """Raised when an operation's precondition is violated."""
+    """Raised when an operation's precondition is violated.
+
+    ``at`` is the ``(layer, position)`` of the offending gate when the error
+    is about one gate of a circuit.
+    """
+
+    def __init__(self, message: str = "", at: tuple[int, int] | None = None):
+        super().__init__(message)
+        self.at = at
 
 
 # --- gate set ----------------------------------------------------------------
@@ -202,6 +232,13 @@ PAULI_CONJ_CZ = np.stack([_CZ_CONJ // 4, _CZ_CONJ % 4], axis=-1)
 
 # --- circuit data types -------------------------------------------------------
 
+# A circuit stores each gate's kind as its index in KINDS; KIND_ARITY and
+# KIND_NPARAMS are indexed by that code.
+KINDS = tuple(GATE_ARITY)
+KIND_CODE = {k: i for i, k in enumerate(KINDS)}
+KIND_ARITY = np.array([GATE_ARITY[k] for k in KINDS])
+KIND_NPARAMS = np.array([GATE_NPARAMS[k] for k in KINDS])
+
 
 @dataclass(frozen=True, slots=True)
 class GateOp:
@@ -236,61 +273,134 @@ class GateOp:
 Layer = tuple[GateOp, ...]
 
 
-def _check_layer(layer: Layer, n: int):
-    seen: set[int] = set()
-    for op in layer:
-        for q in op.qubits:
-            if not 0 <= q < n:
-                raise ContractError(f"qubit {q} out of range for n={n}")
-            if q in seen:
-                raise ContractError(f"qubit {q} appears twice in one layer")
-            seen.add(q)
+def _check_arrays(n: int, kind, qubits, params, layer_start):
+    """Raise ``ContractError`` at the first gate that breaks a rule.
+
+    Each rule is one vectorised test over all gates, so a check makes the
+    same number of numpy calls however deep the circuit is.
+    """
+    m = len(kind)
+    if (qubits.shape != (m, 2) or params.shape != (m, 3) or layer_start[0] != 0
+            or layer_start[-1] != m or np.any(np.diff(layer_start) < 0)):
+        raise ContractError("circuit arrays do not match in shape")
+    known = (kind >= 0) & (kind < len(KINDS))
+    arity, nparams = KIND_ARITY[kind * known], KIND_NPARAMS[kind * known]
+    used = np.arange(2) < arity[:, None]
+    acts = used & (qubits >= 0) & (qubits < n)
+    # A (layer, qubit) key met again in stable sort order is a later gate of
+    # the same layer on the same qubit.
+    layer = np.repeat(np.arange(len(layer_start) - 1), np.diff(layer_start))
+    key = (layer[:, None] * n + qubits)[acts]
+    order = np.argsort(key, kind="stable")
+    again = np.zeros(m, dtype=bool)
+    again[np.nonzero(acts)[0][order[1:][np.diff(key[order]) == 0]]] = True
+    p0 = params[:, 0]
+    rules = {
+        "unknown gate kind": ~known,
+        "wrong number of qubits": (qubits[:, 1] != -1) != (arity == 2),
+        "duplicate qubits": (arity == 2) & (qubits[:, 0] == qubits[:, 1]),
+        f"qubit out of range for n={n}": np.any(used & ~acts, axis=1),
+        "wrong number of params": np.any((params != 0) & (np.arange(3) >= nparams[:, None]),
+                                         axis=1),
+        "non-finite parameter": ~np.isfinite(params).all(axis=1),
+        "C1Q index must be an integer in 0..23":
+            (kind == KIND_CODE["C1Q"]) & ~((p0 == np.floor(p0)) & (p0 >= 0) & (p0 < 24)),
+        "qubit appears twice in one layer": again,
+    }
+    bad = np.stack(list(rules.values()))
+    if bad.any():
+        g = int(np.argmax(bad.any(axis=0)))
+        i = int(np.searchsorted(layer_start, g, side="right")) - 1
+        name = KINDS[kind[g]] if known[g] else f"kind code {kind[g]}"
+        raise ContractError(f"{list(rules)[int(np.argmax(bad[:, g]))]}: {name} on qubits "
+                            f"{qubits[g].tolist()} with params {params[g].tolist()}",
+                            at=(i, g - int(layer_start[i])))
 
 
-@dataclass(frozen=True, slots=True)
+_ARRAYS = ("kind", "qubits", "params", "layer_start")
+
+
 class Circuit:
-    """An n-qubit circuit as an ordered sequence of layers of disjoint gates.
+    """An n-qubit circuit as an ordered sequence of layers of disjoint gates,
+    stored as the arrays the module docstring describes.
 
     Without an ``id``, the circuit is named by a digest of ``n`` and its
     layers, so equal circuits get equal ids (and equal seeded shots) in every
     process.
     """
 
-    n: int
-    layers: tuple[Layer, ...] = ()
-    id: str | None = None
-    meta: dict = field(default_factory=dict, compare=False)
+    __slots__ = ("n", *_ARRAYS, "id", "meta")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, layers=(), id: str | None = None, meta: dict | None = None):
+        layers = [tuple(layer) for layer in layers]
+        ops = [op for layer in layers for op in layer]
+        self._init(n, [KIND_CODE[op.kind] for op in ops], [(*op.qubits, -1)[:2] for op in ops],
+                   [(*op.params, 0.0, 0.0, 0.0)[:3] for op in ops],
+                   np.cumsum([0, *map(len, layers)]), id, meta)
+
+    @classmethod
+    def from_arrays(cls, n: int, kind, qubits, params, layer_start,
+                    id: str | None = None, meta: dict | None = None) -> "Circuit":
+        """A circuit over arrays laid out as the module docstring describes;
+        it takes them over and makes them read-only."""
+        c = object.__new__(cls)
+        c._init(n, kind, qubits, params, layer_start, id, meta)
+        return c
+
+    def _init(self, n, kind, qubits, params, layer_start, id, meta):
+        if n < 1:
             raise ContractError("circuit needs at least one qubit")
-        object.__setattr__(self, "layers", tuple(tuple(l) for l in self.layers))
-        for layer in self.layers:
-            _check_layer(layer, self.n)
-        if self.id is None:
+        self.n, self.meta = int(n), {} if meta is None else meta
+        self.kind = np.asarray(kind, dtype=np.int8)
+        self.qubits = np.asarray(qubits, dtype=np.int64).reshape(-1, 2)
+        self.params = np.asarray(params, dtype=float).reshape(-1, 3)
+        self.layer_start = np.asarray(layer_start, dtype=np.int64)
+        _check_arrays(self.n, self.kind, self.qubits, self.params, self.layer_start)
+        for name in _ARRAYS:
+            getattr(self, name).flags.writeable = False
+        if id is None:
             # Plain floats and ints, so that numpy scalars name the same circuit.
-            spec = [[(op.kind, [float(p) for p in op.params], [int(q) for q in op.qubits])
-                     for op in layer] for layer in self.layers]
-            digest = hashlib.sha256(repr((int(self.n), spec)).encode()).hexdigest()
-            object.__setattr__(self, "id", digest[:12])
+            spec = [[(k, list(p), list(q)) for k, p, q in layer] for layer in self.rows()]
+            id = hashlib.sha256(repr((self.n, spec)).encode()).hexdigest()[:12]
+        self.id = id
+
+    def __eq__(self, other):
+        if not isinstance(other, Circuit):
+            return NotImplemented
+        return (self.n, self.id) == (other.n, other.id) and all(
+            np.array_equal(getattr(self, a), getattr(other, a)) for a in _ARRAYS)
+
+    def __hash__(self):
+        return hash((self.n, self.id))
+
+    def rows(self) -> list[list[tuple]]:
+        """Per layer, ``(kind, params, qubits)`` of each gate as Python scalars."""
+        rows = [(k, tuple(p[:GATE_NPARAMS[k]]), tuple(q[:GATE_ARITY[k]]))
+                for k, p, q in zip([KINDS[k] for k in self.kind.tolist()],
+                                   self.params.tolist(), self.qubits.tolist())]
+        b = self.layer_start.tolist()
+        return [rows[lo:hi] for lo, hi in zip(b, b[1:])]
+
+    @property
+    def layers(self) -> tuple[Layer, ...]:
+        """The gates as ``GateOp`` layers, built on every call."""
+        return tuple(tuple(GateOp(*r) for r in layer) for layer in self.rows())
 
     @property
     def depth(self) -> int:
-        return len(self.layers)
-
-    @property
-    def width(self) -> int:
-        return self.n
+        return len(self.layer_start) - 1
 
     def ops(self):
         for layer in self.layers:
             yield from layer
 
     def num_ops(self) -> int:
-        return sum(len(l) for l in self.layers)
+        return len(self.kind)
 
     def with_id(self, new_id: str) -> "Circuit":
-        return Circuit(self.n, self.layers, new_id, dict(self.meta))
+        c = copy.copy(self)
+        c.id, c.meta = new_id, dict(self.meta)
+        return c
 
 
 def layerize(n: int, ops, *, barriers=()) -> tuple[Layer, ...]:

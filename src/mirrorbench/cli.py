@@ -54,6 +54,7 @@ from mirrorbench.sim import (
 from mirrorbench.storage import (
     Manifest,
     SchemaError,
+    open_atomic,
     read_circuits,
     read_manifest,
     read_shot_tables,
@@ -83,6 +84,8 @@ class MissingDataError(Exception):
 
 
 _WRITTEN_BY = {"shots.jsonl": "simulate", "results.csv": "analyze"}
+# What the later stages derive from a suite; a new suite makes them stale.
+_DERIVED = ("shots.jsonl", "results.csv", "oracle.csv", "summary.txt", "report.svg")
 
 
 def _input(out_dir: str, name: str) -> str:
@@ -266,10 +269,13 @@ def generate(config_path: str, out_dir: str):
     cfg = _load_config(config_path)
     suite = _build(cfg)
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "circuits.jsonl"), "w", encoding="utf-8") as fp:
+    for name in _DERIVED:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, name))
+    with open_atomic(os.path.join(out_dir, "circuits.jsonl")) as fp:
         count = write_circuits(fp, suite.circuits)
     write_manifest(os.path.join(out_dir, "manifest.json"), suite.manifest)
-    with open(os.path.join(out_dir, "config.json"), "w", encoding="utf-8") as fp:
+    with open_atomic(os.path.join(out_dir, "config.json")) as fp:
         json.dump(cfg, fp, indent=1)
         fp.write("\n")
     proxies = sum(1 for r in suite.manifest.records if r["kind"] in ("M1", "M2", "M3"))
@@ -282,9 +288,7 @@ def _shot_seed(master: int, circuit_id: str) -> int:
 
 
 def _simulate_one(payload):
-    from mirrorbench.storage import circuit_from_json
-    line, nm_dict, shots, seed = payload
-    c = circuit_from_json(line)
+    c, nm_dict, shots, seed = payload
     try:
         return sample_shots(c, NoiseModel.from_dict(nm_dict), shots, seed), None
     except CapacityError as e:
@@ -312,21 +316,14 @@ def simulate(out_dir, fake_uniform, shots, jobs):
         # lists the proxies in circuits.jsonl order.
         payloads = [(r["width"], _shot_seed(master, r["id"]), r["id"]) for r in mirrors]
     else:
-        payloads = []
         mirror_ids = {r["id"] for r in mirrors}
         with open(_input(out_dir, "circuits.jsonl"), encoding="utf-8") as fp:
-            for line in fp:
-                line = line.strip()
-                if not line:
-                    continue
-                cid = json.loads(line)["id"]
-                if cid in mirror_ids:
-                    payloads.append((line, nm.to_dict(), shots, _shot_seed(master, cid)))
+            payloads = [(c, nm.to_dict(), shots, _shot_seed(master, c.id))
+                        for c in read_circuits(fp) if c.id in mirror_ids]
 
     failures = []
     with contextlib.ExitStack() as stack:
-        fp = stack.enter_context(
-            open(os.path.join(out_dir, "shots.jsonl"), "w", encoding="utf-8"))
+        fp = stack.enter_context(open_atomic(os.path.join(out_dir, "shots.jsonl")))
         if fake_uniform:
             results = ((fake_uniform_shots(n, shots, s, cid), None)
                        for n, s, cid in payloads)
@@ -378,8 +375,7 @@ def _analyze_records(out_dir: str, bootstrap: int = 200) -> list[FidelityRecord]
 
 
 def _write_results(out_dir: str, records: list[FidelityRecord]):
-    with open(os.path.join(out_dir, "results.csv"), "w", encoding="utf-8",
-              newline="") as fp:
+    with open_atomic(os.path.join(out_dir, "results.csv")) as fp:
         w = csv.writer(fp)
         w.writerow(RESULT_COLUMNS)
         for r in records:
@@ -421,7 +417,7 @@ def report(out_dir):
             float(row["sigma_boot"]), float(row["S1"]), float(row["S2"]),
             float(row["S3"]), int(row["width"]), int(row["depth"]), shape,
             flags=tuple(f for f in row["flags"].split(";") if f)))
-    with open(os.path.join(out_dir, "report.svg"), "w", encoding="utf-8") as fp:
+    with open_atomic(os.path.join(out_dir, "report.svg")) as fp:
         fp.write(render_volumetric_svg(recs))
     lines = ["benchmark summary", "=================", ""]
     lines.append(volumetric_summary(recs).rstrip())
@@ -444,7 +440,7 @@ def report(out_dir):
             f_full = algos.full_process_fidelity(f_alg, r.F_clamped)
             lines.append(f"  {r.benchmark_id}: F_alg={f_alg:.6f} "
                          f"F_noise={r.F_clamped:.6f} F_full={f_full:.6f}")
-    with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8") as fp:
+    with open_atomic(os.path.join(out_dir, "summary.txt")) as fp:
         fp.write("\n".join(lines) + "\n")
     click.echo(f"report written for {len(recs)} benchmarks")
 
@@ -473,8 +469,7 @@ def oracle(out_dir, max_n):
                 out_rows.append((c.id, f, est, dev))
                 if len(out_rows) == len(qualifying):
                     break
-    with open(os.path.join(out_dir, "oracle.csv"), "w", encoding="utf-8",
-              newline="") as fp:
+    with open_atomic(os.path.join(out_dir, "oracle.csv")) as fp:
         w = csv.writer(fp)
         w.writerow(["benchmark_id", "F_exact", "F_hat", "abs_deviation"])
         for cid, f, est, dev in out_rows:

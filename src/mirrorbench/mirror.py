@@ -28,7 +28,10 @@ from mirrorbench.circuits import (
     CLIFFORD_MATS,
     Circuit,
     ContractError,
-    GateOp,
+    GATE_ARITY,
+    GATE_NPARAMS,
+    KIND_CODE,
+    KINDS,
     MIRRORABLE_KINDS,
     PAULI_CONJ_C1Q,
     PAULI_CONJ_CZ,
@@ -67,107 +70,124 @@ class SamplingParams:
             raise ContractError("mirror counts must be >= 1")
 
 
+_MIRRORABLE = np.array([k in MIRRORABLE_KINDS for k in KINDS])
+_C1Q, _U3 = KIND_CODE["C1Q"], KIND_CODE["U3"]
+# Matrix of each kind without parameters (identity for the others).
+_FIXED_1Q = np.stack([gate_matrix(k) if GATE_NPARAMS[k] == 0 and GATE_ARITY[k] == 1
+                      else np.eye(2, dtype=complex) for k in KINDS])
+
+
 def check_native(c: Circuit, mode: str):
     """Raise ``ContractError`` unless every gate of c is one mirrors accept."""
-    for op in c.ops():
-        if op.kind not in MIRRORABLE_KINDS:
-            raise ContractError(
-                f"circuit {c.id!r} contains non-native gate {op.kind}; "
-                f"{mode} benchmarks require native circuits -- use a "
-                f"full-stack benchmark (or transpile first)")
+    bad = ~_MIRRORABLE[c.kind]
+    if bad.any():
+        raise ContractError(
+            f"circuit {c.id!r} contains non-native gate {KINDS[c.kind[np.argmax(bad)]]}; "
+            f"{mode} benchmarks require native circuits -- use a "
+            f"full-stack benchmark (or transpile first)")
 
 
-def _matrices_of_1q_ops(ops: list[GateOp]) -> np.ndarray:
-    """Stack of 2x2 matrices for a list of 1-qubit ops, vectorized by kind."""
-    out = np.empty((len(ops), 2, 2), dtype=complex)
-    u3_pos, u3_params = [], []
-    rz_pos, rz_params = [], []
-    for i, op in enumerate(ops):
-        k = op.kind
-        if k == "U3":
-            u3_pos.append(i)
-            u3_params.append(op.params)
-        elif k == "RZ":
-            rz_pos.append(i)
-            rz_params.append(op.params[0])
-        elif k == "C1Q":
-            out[i] = CLIFFORD_MATS[int(op.params[0])]
-        else:
-            out[i] = gate_matrix(k)
-    if u3_pos:
-        t, p, l = np.array(u3_params).T
+def _matrices_1q(kind: np.ndarray, params: np.ndarray) -> np.ndarray:
+    """Stack of 2x2 matrices of 1-qubit gates, vectorized by kind."""
+    out = _FIXED_1Q[kind]
+    u3 = kind == _U3
+    if u3.any():
+        t, p, l = params[u3].T
         c, s = np.cos(t / 2), np.sin(t / 2)
-        m = np.empty((len(u3_pos), 2, 2), dtype=complex)
+        m = np.empty((len(t), 2, 2), dtype=complex)
         m[:, 0, 0] = c
         m[:, 0, 1] = -np.exp(1j * l) * s
         m[:, 1, 0] = np.exp(1j * p) * s
         m[:, 1, 1] = np.exp(1j * (p + l)) * c
-        out[u3_pos] = m
-    if rz_pos:
-        th = np.asarray(rz_params)
-        m = np.zeros((len(rz_pos), 2, 2), dtype=complex)
+        out[u3] = m
+    rz = kind == KIND_CODE["RZ"]
+    if rz.any():
+        th = params[rz, 0]
+        m = np.zeros((len(th), 2, 2), dtype=complex)
         m[:, 0, 0] = np.exp(-0.5j * th)
         m[:, 1, 1] = np.exp(0.5j * th)
-        out[rz_pos] = m
+        out[rz] = m
+    c1q = kind == _C1Q
+    out[c1q] = CLIFFORD_MATS[params[c1q, 0].astype(int)]
     return out
 
 
-def _rc_layer(layer, labels: np.ndarray, rng, invert: bool) -> tuple:
-    """Randomize-compile one layer in place (labels updated), return emitted layer.
+def _rc_layers(c: Circuit, labels: np.ndarray, rng, invert: bool) -> tuple:
+    """Randomize-compile every layer of c in turn (reversed when ``invert``),
+    updating ``labels``; return the emitted gates as (kind, qubits, params,
+    layer sizes).
 
-    ``invert`` replaces each single-qubit gate by its inverse (used for the
-    mirror half). The only two-qubit kind in the native set is CZ, which is
-    self-inverse.
+    Each emitted layer holds the layer's two-qubit gates verbatim, then one U3
+    per single-qubit gate, each in layer order. ``invert`` replaces each
+    single-qubit gate by its inverse (used for the mirror half). The only
+    two-qubit kind in the native set is CZ, which is self-inverse.
     """
-    ops_1q = [op for op in layer if len(op.qubits) == 1]
-    ops_2q = [op for op in layer if len(op.qubits) == 2]
-    emitted = list(ops_2q)
-    if ops_2q:
-        a, b = np.array([op.qubits for op in ops_2q]).T
-        labels[a], labels[b] = PAULI_CONJ_CZ[labels[a], labels[b]].T
-    if ops_1q:
-        qs = np.array([op.qubits[0] for op in ops_1q])
-        mats = _matrices_of_1q_ops(ops_1q)
-        if invert:
-            mats = mats.conj().transpose(0, 2, 1)
-        fresh = rng.integers(0, 4, size=len(ops_1q))
-        merged = PAULI_MATS[fresh] @ mats @ PAULI_MATS[labels[qs]]
-        theta, phi, lam = u3_params_from_matrices(merged)
-        for i, op in enumerate(ops_1q):
-            emitted.append(GateOp("U3", (float(theta[i]), float(phi[i]), float(lam[i])),
-                                  op.qubits))
-        labels[qs] = fresh
-    return tuple(emitted)
+    one_q = c.qubits[:, 1] < 0
+    layer = np.repeat(np.arange(c.depth), np.diff(c.layer_start))
+    if invert:
+        layer = c.depth - 1 - layer
+    sizes = np.bincount(layer, minlength=c.depth)
+    ends = np.cumsum(sizes)
+    mids = (ends - np.bincount(layer[one_q], minlength=c.depth)).tolist()
+    order = np.argsort(2 * layer + one_q, kind="stable")
+    one_q, qa, qb = one_q[order], c.qubits[order, 0], c.qubits[order, 1]
+    fresh, before = np.zeros(len(order), dtype=np.int64), np.zeros(len(order), dtype=np.int64)
+    lo = 0
+    for mid, hi in zip(mids, ends.tolist()):
+        if mid > lo:
+            a, b = qa[lo:mid], qb[lo:mid]
+            labels[a], labels[b] = PAULI_CONJ_CZ[labels[a], labels[b]].T
+        if hi > mid:
+            qs = qa[mid:hi]
+            before[mid:hi] = labels[qs]
+            fresh[mid:hi] = labels[qs] = rng.integers(0, 4, size=hi - mid)
+        lo = hi
+    mats = _matrices_1q(c.kind[order][one_q], c.params[order][one_q])
+    if invert:
+        mats = mats.conj().transpose(0, 2, 1)
+    merged = PAULI_MATS[fresh[one_q]] @ mats @ PAULI_MATS[before[one_q]]
+    params = c.params[order]
+    params[one_q] = np.stack(u3_params_from_matrices(merged), axis=-1)
+    return np.where(one_q, _U3, c.kind[order]), c.qubits[order], params, sizes
 
 
-def _prefix_layer(n: int, rng) -> tuple[np.ndarray, tuple]:
-    idx = rng.integers(0, 24, size=n)
-    layer = tuple(GateOp("C1Q", (float(i),), (q,)) for q, i in enumerate(idx))
-    return idx, layer
+def _one_q_layer(c1q_index: np.ndarray) -> tuple:
+    """A layer of one C1Q per qubit, as (kind, qubits, params, layer sizes)."""
+    n = len(c1q_index)
+    params = np.zeros((n, 3))
+    params[:, 0] = c1q_index
+    qubits = np.stack([np.arange(n), np.full(n, -1)], axis=-1)
+    return np.full(n, _C1Q), qubits, params, [n]
 
 
 def _closing(prefix_idx: np.ndarray, labels: np.ndarray) -> tuple[tuple, str]:
     """Closing layer of prefix inverses, plus the target from the residual frame."""
     inv = CLIFFORD_INV[prefix_idx]
-    ops = tuple(GateOp("C1Q", (float(i),), (q,)) for q, i in enumerate(inv))
     final = PAULI_CONJ_C1Q[inv, labels]
-    return ops, "".join(np.where((final == 1) | (final == 2), "1", "0"))
+    return _one_q_layer(inv), "".join(np.where((final == 1) | (final == 2), "1", "0"))
+
+
+def _assemble(n: int, parts: list[tuple], circuit_id: str) -> Circuit:
+    """The circuit whose layers are those of ``parts``, in order."""
+    kind, qubits, params, sizes = (np.concatenate(col) for col in zip(*parts))
+    return Circuit.from_arrays(n, kind, qubits, params,
+                               np.concatenate([[0], np.cumsum(sizes)]), circuit_id)
 
 
 def _make_mirror(c: Circuit, rng, kind: str, circuit_id: str | None) -> MirrorCircuit:
     """M1 keeps c verbatim; M2 randomize-compiles it too. Both then append the
     randomized-compiled layer-by-layer inverse and the closing layer."""
     check_native(c, "mirror")
-    prefix_idx, prefix = _prefix_layer(c.n, rng)
+    prefix_idx = rng.integers(0, 24, size=c.n)
     labels = np.zeros(c.n, dtype=np.int64)
     if kind == "M2":
-        forward = [_rc_layer(layer, labels, rng, invert=False) for layer in c.layers]
+        forward = _rc_layers(c, labels, rng, invert=False)
     else:
-        forward = list(c.layers)
-    backward = [_rc_layer(layer, labels, rng, invert=True) for layer in reversed(c.layers)]
+        forward = (c.kind, c.qubits, c.params, np.diff(c.layer_start))
+    backward = _rc_layers(c, labels, rng, invert=True)
     close, target = _closing(prefix_idx, labels)
-    circ = Circuit(c.n, (prefix, *forward, *backward, close),
-                   circuit_id or f"{c.id}.{kind.lower()}")
+    circ = _assemble(c.n, [_one_q_layer(prefix_idx), forward, backward, close],
+                     circuit_id or f"{c.id}.{kind.lower()}")
     return MirrorCircuit(circ, kind, c.id, target)
 
 
@@ -186,13 +206,11 @@ def make_m3(n: int, rng, *, parent_id: str | None = None,
     """Randomized SPAM circuit: prefix, random Pauli layer, prefix inverse."""
     if n < 1:
         raise ContractError("n must be >= 1")
-    prefix_idx, prefix = _prefix_layer(n, rng)
+    prefix_idx = rng.integers(0, 24, size=n)
     labels = rng.integers(0, 4, size=n)
-    pauli_layer = tuple(
-        GateOp("C1Q", (float(CLIFFORD_INDEX_OF_PAULI[int(l)]),), (q,))
-        for q, l in enumerate(labels))
+    pauli_layer = _one_q_layer(np.array(CLIFFORD_INDEX_OF_PAULI)[labels])
     close, target = _closing(prefix_idx, labels)
-    circ = Circuit(n, (prefix, pauli_layer, close), circuit_id or "m3")
+    circ = _assemble(n, [_one_q_layer(prefix_idx), pauli_layer, close], circuit_id or "m3")
     return MirrorCircuit(circ, "M3", parent_id, target)
 
 

@@ -178,15 +178,15 @@ def _noisy_program(c: Circuit, nm: NoiseModel):
     layer leaves idle gets an ``RZ(theta_idle)`` step with ``lam = 0``.
     """
     idle = gate_matrix("RZ", (nm.theta_idle,)) if nm.theta_idle else None
-    for layer in c.layers:
-        for op in layer:
-            g = op.matrix()
-            theta = nm.theta_over.get(op.kind, 0.0)
+    for layer in c.rows():
+        for kind, params, qubits in layer:
+            g = gate_matrix(kind, params)
+            theta = nm.theta_over.get(kind, 0.0)
             if theta:
                 g = (math.cos(theta / 2) * np.eye(2) - 1j * math.sin(theta / 2) * _X) @ g
-            yield g, op.qubits, nm.lam_1q if len(op.qubits) == 1 else nm.lam_2q
+            yield g, qubits, nm.lam_1q if len(qubits) == 1 else nm.lam_2q
         if idle is not None:
-            busy = {q for op in layer for q in op.qubits}
+            busy = {q for _, _, qubits in layer for q in qubits}
             for q in range(c.n):
                 if q not in busy:
                     yield idle, (q,), 0.0

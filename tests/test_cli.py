@@ -1,12 +1,14 @@
 import csv
 import json
 import os
+import pathlib
 import re
 
 import pytest
 from click.testing import CliRunner
 
 from mirrorbench import cli
+from mirrorbench.circuits import ContractError
 from mirrorbench.cli import main
 
 BRICK_CONFIG = {
@@ -159,6 +161,35 @@ class TestPipeline:
             os.remove(os.path.join(out, delete))
         run_err(runner, [stage, "--out", out], code)
 
+    def test_regenerate_removes_stale_outputs(self, runner, tmp_path):
+        # Proxy ids do not depend on the noise model, so shots left from the
+        # noiseless suite would pass for shots of the noisy one.
+        out = self._generate(runner, tmp_path)
+        run_ok(runner, ["simulate", "--out", out])
+        self._generate(runner, tmp_path, dict(BRICK_CONFIG, noise={"lam_2q": 0.3}))
+        assert not os.path.exists(os.path.join(out, "shots.jsonl"))
+        result = run_err(runner, ["analyze", "--out", out], 3)
+        assert "run simulate" in result.stderr
+
+    def test_failed_simulate_keeps_earlier_shots(self, runner, tmp_path, monkeypatch):
+        out = self._generate(runner, tmp_path)
+        run_ok(runner, ["simulate", "--out", out])
+        shots_path = pathlib.Path(out, "shots.jsonl")
+        before = shots_path.read_bytes()
+        calls, sample_shots = [], cli.sample_shots
+
+        def fail_second(c, *args):
+            calls.append(c.id)
+            if len(calls) == 2:
+                raise ContractError("injected failure")
+            return sample_shots(c, *args)
+
+        monkeypatch.setattr(cli, "sample_shots", fail_second)
+        run_err(runner, ["simulate", "--out", out], 2)
+        assert shots_path.read_bytes() == before
+        assert sorted(os.listdir(out)) == ["circuits.jsonl", "config.json", "manifest.json",
+                                           "shots.jsonl"]
+
     def test_simulate_takes_no_parameter_overrides(self, runner):
         # Noise and seed come only from the experiment's config.json.
         result = run_ok(runner, ["simulate", "--help"])
@@ -295,6 +326,10 @@ class TestFullStackConfig:
         out = str(tmp_path / "exp")
         run_ok(runner, ["generate", "--config", path, "--out", out])
         run_ok(runner, ["simulate", "--out", out, "--jobs", "2"])
+        shots = pathlib.Path(out, "shots.jsonl")
+        parallel = shots.read_bytes()
+        run_ok(runner, ["simulate", "--out", out, "--jobs", "1"])
+        assert shots.read_bytes() == parallel
         run_ok(runner, ["analyze", "--out", out, "--bootstrap", "20"])
         rows = read_csv(os.path.join(out, "results.csv"))
         assert len(rows) == 2

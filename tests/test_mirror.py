@@ -104,6 +104,19 @@ class TestM2:
             assert best == pytest.approx(1.0, abs=1e-9)
         assert len(seen) == 2  # gates differ between seeds
 
+    def test_compiled_layers_keep_gate_order(self):
+        # Each compiled layer holds the parent layer's CZs, then one U3 per
+        # single-qubit gate, each in the parent layer's order.
+        rng = np.random.default_rng(8)
+        c = random_native_circuit(rng, 5, 40)
+        layers, d = make_m2(c, rng).circuit.layers, len(c.layers)
+        for half in (layers[1:1 + d], layers[1 + d:1 + 2 * d][::-1]):
+            for parent, compiled in zip(c.layers, half):
+                assert [op.qubits for op in compiled] == \
+                    [op.qubits for op in parent if len(op.qubits) == 2] + \
+                    [op.qubits for op in parent if len(op.qubits) == 1]
+                assert {op.kind for op in compiled if len(op.qubits) == 1} <= {"U3"}
+
     def test_empty_parent(self):
         mc = make_m2(Circuit(2, ()), np.random.default_rng(1))
         assert target_probability(mc) == pytest.approx(1.0, abs=1e-9)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mirrorbench.algos import brickwork_u3_cz, qft_circuit
+from mirrorbench.circuits import GATE_ARITY, GATE_NPARAMS, KINDS, Circuit, GateOp
 from mirrorbench.sim import ShotTable
 from mirrorbench.storage import (
     Manifest,
@@ -24,6 +25,60 @@ from mirrorbench.storage import (
 from tests.test_circuits import random_native_circuit
 
 SAMPLING = {"m1": 10, "m2": 10, "m3": 10, "shots": 1000, "seed": 0}
+
+
+def reference_circuit_to_json(c):
+    """The dict + json.dumps encoder that circuit_to_json must match byte for byte."""
+    obj = {"id": c.id, "n": c.n,
+           "layers": [[{"kind": op.kind, "params": [float(v) for v in op.params],
+                        "qubits": list(op.qubits)} for op in layer]
+                      for layer in c.layers]}
+    if c.meta:
+        obj["meta"] = c.meta
+    return json.dumps(obj, separators=(",", ":"))
+
+
+ANGLES = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5.0, -3.0, 1e-300, -2.5e-308, 5e-324, 1e300,
+                     -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def circuits(draw):
+    """Random circuits over all gate kinds, with or without an id and meta."""
+    n = draw(st.integers(1, 6))
+    layers = []
+    for _ in range(draw(st.integers(0, 4))):
+        free, layer = draw(st.permutations(range(n))), []
+        while free and draw(st.integers(0, 4)):
+            kind = draw(st.sampled_from([k for k in KINDS if GATE_ARITY[k] <= len(free)]))
+            params = ((float(draw(st.integers(0, 23))),) if kind == "C1Q" else
+                      tuple(draw(ANGLES) for _ in range(GATE_NPARAMS[kind])))
+            qubits = tuple(free.pop() for _ in range(GATE_ARITY[kind]))
+            layer.append(GateOp(kind, params, qubits))
+        layers.append(layer)
+    meta = draw(st.sampled_from([{}, {"target": "0110"},
+                                 {"snip": {"qubits": [0, 2], "dropped_2q": 1, "x": -0.0}}]))
+    return Circuit(n, layers, draw(st.none() | st.text(max_size=6)), meta)
+
+
+def gate(kind, qubits, params=()):
+    return {"kind": kind, "params": list(params), "qubits": list(qubits)}
+
+
+# name -> (layers of an n=2 circuit with one bad gate, that gate's (layer, position))
+BAD_GATES = {
+    "unknown-kind": ([[gate("X", [0])], [gate("FOO", [1])]], (1, 0)),
+    "wrong-arity": ([[gate("CZ", [0])]], (0, 0)),
+    "duplicate-qubit": ([[gate("X", [0])], [gate("CX", [1, 1])]], (1, 0)),
+    "param-count": ([[gate("RZ", [0])]], (0, 0)),
+    "nan-param": ([[gate("X", [0]), gate("RZ", [1], [float("nan")])]], (0, 1)),
+    "c1q-index-24": ([[gate("C1Q", [0], [24.0])]], (0, 0)),
+    "c1q-index-1.5": ([[], [gate("X", [1]), gate("C1Q", [0], [1.5])]], (1, 1)),
+    "out-of-range-qubit": ([[gate("CZ", [0, 5])]], (0, 0)),
+    "layer-collision": ([[gate("X", [1])], [gate("X", [0]), gate("SX", [0])]], (1, 1)),
+}
 
 
 class TestCircuitJsonl:
@@ -44,13 +99,18 @@ class TestCircuitJsonl:
         back = circuit_from_json(circuit_to_json(c))
         assert back.layers == c.layers  # exact float equality
 
-    def test_error_carries_json_path(self):
-        line = json.dumps({"id": "x", "n": 2,
-                           "layers": [[{"kind": "CZ", "params": [],
-                                        "qubits": [0, 5]}]]})
+    @given(circuits())
+    @settings(max_examples=200, deadline=None)
+    def test_writer_matches_reference_encoder(self, c):
+        assert circuit_to_json(c) == reference_circuit_to_json(c)
+        assert circuit_from_json(circuit_to_json(c)) == c
+
+    @pytest.mark.parametrize("layers, at", BAD_GATES.values(), ids=BAD_GATES.keys())
+    def test_error_carries_json_path(self, layers, at):
+        line = json.dumps({"id": "x", "n": 2, "layers": layers})
         with pytest.raises(SchemaError) as e:
-            circuit_from_json(line)
-        assert "layers[0][0]" in str(e.value)
+            circuit_from_json(line, path="$[3]")
+        assert e.value.path == "$[3].layers[{}][{}]".format(*at)
 
     def test_invalid_json(self):
         with pytest.raises(SchemaError):
