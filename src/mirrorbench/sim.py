@@ -21,6 +21,10 @@ once: the error-free trunk from the start, every other trajectory from a copy
 of the trunk made at its first error. Its memory is at most one state per
 shot plus the trunk, ``(shots + 1) 2^n`` amplitudes (see ``sample_shots``).
 
+The density-matrix oracles turn each step into one superoperator, fuse each
+qubit's 1q superoperators together and into the next 2q gate on it, and so
+contract the density batch once per 2q gate (see ``_evolve_channel``).
+
 Axis convention (that of ``circuits.apply_gate``): qubit axes come first. A
 state tensor has axes 0..n-1; a density tensor has rows 0..n-1 and columns
 n..2n-1. Batch axes (unitary columns, Pauli chunks) trail. The one exception
@@ -414,29 +418,33 @@ def fake_uniform_shots(n: int, shots: int, seed: int, circuit_id: str = "fake") 
 # --- deterministic density-matrix evolution (oracles) ------------------------------
 
 
-def _conj_gate(rho: np.ndarray, mat: np.ndarray, qubits, n: int) -> np.ndarray:
-    """U rho U^dag on a density tensor."""
-    rho = apply_gate(mat, rho, qubits, 2 * n)
-    return apply_gate(mat.conj(), rho, tuple(n + q for q in qubits), 2 * n)
-
-
-def _depolarize(rho: np.ndarray, lam: float, qubits, n: int) -> np.ndarray:
-    """(1-lam) rho + lam I/2^k (x) Tr_k rho on the given qubits."""
-    k = len(qubits)
-    axes = list(qubits) + [n + q for q in qubits]
-    front = np.moveaxis(rho, axes, range(2 * k))
-    traced = np.trace(front.reshape((1 << k, 1 << k) + front.shape[2 * k:]))
-    mixed = np.multiply.outer(np.eye(1 << k) / (1 << k), traced)
-    mixed = np.moveaxis(mixed.reshape(front.shape), range(2 * k), axes)
-    return (1.0 - lam) * rho + lam * mixed
-
-
 def _evolve_channel(rho: np.ndarray, c: Circuit, nm: NoiseModel, n: int) -> np.ndarray:
-    """Apply the noisy channel of the circuit (no readout) to a density tensor."""
+    """Apply the noisy channel of the circuit (no readout) to a density tensor.
+
+    Each step becomes one superoperator ``D_lam kron(g, g*)`` on its qubits'
+    row and column axes, where depolarizing is ``D_lam = (1 - lam) 1 +
+    (lam / 2^k) |vec I><vec I|``. A qubit's 1q superoperators are multiplied
+    together and kept pending; a 2q gate's superoperator absorbs those of its
+    two qubits, so the density sees one contraction per 2q gate and, at the
+    end, one per qubit still pending.
+    """
+    pending: dict[int, np.ndarray] = {}
     for g, qubits, lam in _noisy_program(c, nm):
-        rho = _conj_gate(rho, g, qubits, n)
+        d = len(g)
+        s = np.kron(g, g.conj())
         if lam > 0:
-            rho = _depolarize(rho, lam, qubits, n)
+            v = np.eye(d).ravel()
+            s = (1.0 - lam) * s + (lam / d) * np.outer(v, v @ s)
+        if d == 2:
+            pending[qubits[0]] = s @ pending.get(qubits[0], np.eye(4))
+            continue
+        # (row a, row b, col a, col b) -> (row a, col a, row b, col b)
+        s = s.reshape((2,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(16, 16)
+        s = s @ np.kron(*(pending.pop(q, np.eye(4)) for q in qubits))
+        a, b = qubits
+        rho = apply_gate(s, rho, (a, n + a, b, n + b), 2 * n)
+    for q, s in pending.items():
+        rho = apply_gate(s, rho, (q, n + q), 2 * n)
     return rho
 
 

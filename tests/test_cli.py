@@ -77,7 +77,7 @@ class TestGenerate:
         run_ok(runner, ["generate", "--config", cfg, "--out", out])
         for name in ("manifest.json", "circuits.jsonl", "config.json"):
             assert os.path.exists(os.path.join(out, name))
-        n_lines = sum(1 for _ in open(os.path.join(out, "circuits.jsonl")))
+        n_lines = len(pathlib.Path(out, "circuits.jsonl").read_text().splitlines())
         assert n_lines == 1 + 12
 
     def test_byte_identical_regeneration(self, runner, tmp_path):
@@ -86,7 +86,7 @@ class TestGenerate:
         for name in ("a", "b"):
             out = str(tmp_path / name)
             run_ok(runner, ["generate", "--config", cfg, "--out", out])
-            outs.append(open(os.path.join(out, "circuits.jsonl"), "rb").read())
+            outs.append(pathlib.Path(out, "circuits.jsonl").read_bytes())
         assert outs[0] == outs[1]
 
     def test_missing_seed_exits_2(self, runner, tmp_path):
@@ -202,7 +202,7 @@ class TestPipeline:
         contents = []
         for _ in range(2):
             run_ok(runner, ["analyze", "--out", out, "--bootstrap", "50"])
-            contents.append(open(os.path.join(out, "results.csv"), "rb").read())
+            contents.append(pathlib.Path(out, "results.csv").read_bytes())
         assert contents[0] == contents[1]
 
     def test_fake_uniform_flags_estimate(self, runner, tmp_path):
@@ -280,7 +280,7 @@ class TestTrotterReport:
         run_ok(runner, ["simulate", "--out", out])
         run_ok(runner, ["analyze", "--out", out, "--bootstrap", "20"])
         run_ok(runner, ["report", "--out", out])
-        summary = open(os.path.join(out, "summary.txt")).read()
+        summary = pathlib.Path(out, "summary.txt").read_text()
         assert "F_alg=" in summary and "F_noise=" in summary \
             and "F_full=" in summary
         assert "F_alg=1.000000" in summary  # diagonal Hamiltonian is exact
@@ -307,7 +307,7 @@ class TestSubcircuitConfig:
         assert len(rows) == 4
         assert {(r["shape_w"], r["shape_d"]) for r in rows} == \
             {("2", "4"), ("3", "8")}
-        svg = open(os.path.join(out, "report.svg")).read()
+        svg = pathlib.Path(out, "report.svg").read_text()
         assert svg.count('class="cell"') == 2
 
 
@@ -333,6 +333,6 @@ class TestFullStackConfig:
         run_ok(runner, ["analyze", "--out", out, "--bootstrap", "20"])
         rows = read_csv(os.path.join(out, "results.csv"))
         assert len(rows) == 2
-        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        manifest = json.loads(pathlib.Path(out, "manifest.json").read_text())
         bench = [r for r in manifest["records"] if r["kind"] == "benchmark"]
         assert all(abs(r["intrinsic_fidelity"] - 1.0) < 1e-9 for r in bench)

@@ -1,5 +1,8 @@
 import math
 from collections import Counter
+from functools import reduce
+from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -353,6 +356,135 @@ class TestExactProcessFidelity:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             exact_process_fidelity(Circuit(7, ()), NoiseModel.noiseless())
+
+
+def embed(g, qubits, n):
+    """Dense 2^n matrix of a gate on the given qubits, built basis state by
+    basis state (qubit 0 most significant)."""
+    k = len(qubits)
+    full = np.zeros((1 << n, 1 << n), dtype=complex)
+    for x in range(1 << n):
+        bits = [(x >> (n - 1 - q)) & 1 for q in range(n)]
+        col = sum(bits[q] << (k - 1 - j) for j, q in enumerate(qubits))
+        for row in range(1 << k):
+            for j, q in enumerate(qubits):
+                bits[q] = (row >> (k - 1 - j)) & 1
+            full[int("".join(map(str, bits)), 2), x] += g[row, col]
+    return full
+
+
+def kraus_enumeration_fidelity(c, nm):
+    """F = sum_h p_h |Tr(U^dag V_h)|^2 / d^2 over every Pauli error history h.
+
+    Written from the noise model's definition, without the noisy program:
+    each gate (its over-rotation about X folded in for X and SX) is followed
+    by the identity with probability 1 - lam + lam/4^k or by each other
+    k-qubit Pauli with probability lam/4^k, and each layer ends with
+    RZ(theta_idle) on the qubits it leaves idle.
+    """
+    n, d = c.n, 1 << c.n
+    u = np.eye(d, dtype=complex)
+    vs = np.eye(d, dtype=complex)[None]  # one unitary V_h per history h
+    probs = np.ones(1)
+    for layer in c.layers:
+        for op in layer:
+            k = len(op.qubits)
+            u = embed(op.matrix(), op.qubits, n) @ u
+            theta = nm.theta_over.get(op.kind, 0.0)
+            over = math.cos(theta / 2) * np.eye(2) - 1j * math.sin(theta / 2) * PAULI_MATS[1]
+            g = over @ op.matrix() if theta else op.matrix()
+            vs = embed(g, op.qubits, n) @ vs
+            lam = nm.lam_1q if k == 1 else nm.lam_2q
+            if lam:
+                paulis = np.stack([
+                    embed(reduce(np.kron, PAULI_MATS[list(digits)]), op.qubits, n)
+                    for digits in product(range(4), repeat=k)])
+                p = np.full(4 ** k, lam / 4 ** k)
+                p[0] += 1 - lam
+                vs = (paulis[:, None] @ vs[None]).reshape(-1, d, d)
+                probs = np.outer(p, probs).ravel()
+        busy = {q for op in layer for q in op.qubits}
+        for q in range(n):
+            if q not in busy and nm.theta_idle:
+                vs = embed(gate_matrix("RZ", (nm.theta_idle,)), (q,), n) @ vs
+    overlaps = np.einsum("ij,hij->h", u.conj(), vs)
+    return float(np.sum(probs * np.abs(overlaps) ** 2) / d ** 2)
+
+
+def reference_evolve_channel(rho, c, nm, n):
+    """The density evolution ``sim._evolve_channel`` replaced: each step
+    conjugates the gate's row and column axes in turn, then depolarizes."""
+    for g, qubits, lam in sim._noisy_program(c, nm):
+        rho = apply_gate(g, rho, qubits, 2 * n)
+        rho = apply_gate(g.conj(), rho, tuple(n + q for q in qubits), 2 * n)
+        if lam > 0:
+            k = len(qubits)
+            axes = list(qubits) + [n + q for q in qubits]
+            front = np.moveaxis(rho, axes, range(2 * k))
+            traced = np.trace(front.reshape((1 << k, 1 << k) + front.shape[2 * k:]))
+            mixed = np.multiply.outer(np.eye(1 << k) / (1 << k), traced)
+            mixed = np.moveaxis(mixed.reshape(front.shape), range(2 * k), axes)
+            rho = (1.0 - lam) * rho + lam * mixed
+    return rho
+
+
+def haar_unitary(rng, d):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+class TestChannelOracle:
+    """The fused-superoperator density evolution against an independent
+    Kraus enumeration and against the step-by-step evolution it replaced."""
+
+    STRONG = NoiseModel(lam_1q=0.2, lam_2q=0.3, theta_idle=0.25,
+                        theta_over={"X": 0.4, "SX": -0.3})
+    # n <= 3 and at most 4 noisy gates each, so at most 16^4 histories.
+    CIRCUITS = {
+        "cx-reversed": Circuit(2, (
+            (GateOp("U3", (0.3, -1.1, 2.0), (0,)),),
+            (GateOp("CX", (), (1, 0)),),
+            (GateOp("SX", (), (1,)),),
+            (GateOp("CP", (0.7,), (0, 1)),))),
+        "swap-c1q": Circuit(3, (
+            (GateOp("C1Q", (5.0,), (2,)), GateOp("X", (), (0,))),
+            (GateOp("SWAP", (), (0, 2)),),
+            (GateOp("CX", (), (2, 1)),))),
+        "cp-reversed": Circuit(3, (
+            (GateOp("CP", (-1.3,), (2, 0)),),
+            (GateOp("SX", (), (1,)), GateOp("X", (), (2,))),
+            (GateOp("SWAP", (), (1, 2)),))),
+    }
+    MODELS = {
+        "strong": STRONG,
+        "depolarizing-only": NoiseModel(lam_1q=0.1, lam_2q=0.25),
+        "coherent-only": NoiseModel(theta_idle=-0.4, theta_over={"X": 0.5, "SX": 0.2}),
+    }
+
+    @pytest.mark.parametrize("circuit", sorted(CIRCUITS))
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_matches_kraus_enumeration(self, circuit, model):
+        c, nm = self.CIRCUITS[circuit], self.MODELS[model]
+        assert abs(exact_process_fidelity(c, nm) - kraus_enumeration_fidelity(c, nm)) <= 1e-12
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_matches_step_by_step_evolution(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 5))
+        c = random_circuit(rng, n, int(rng.integers(1, 16)), kinds=GATE_ARITY)
+        nm = self.STRONG if rng.random() < 0.25 else random_noise_model(rng)
+        target = haar_unitary(rng, 1 << n)
+        fused = (exact_process_fidelity(c, nm),
+                 sim.process_fidelity_channel_vs_unitary(target, c, nm),
+                 _dense(noisy_distribution(c, nm), n))
+        with mock.patch.object(sim, "_evolve_channel", reference_evolve_channel):
+            ref = (exact_process_fidelity(c, nm),
+                   sim.process_fidelity_channel_vs_unitary(target, c, nm),
+                   _dense(noisy_distribution(c, nm), n))
+        assert abs(fused[0] - ref[0]) <= 1e-12
+        assert abs(fused[1] - ref[1]) <= 1e-12
+        assert np.abs(fused[2] - ref[2]).max() <= 1e-12
 
 
 class TestDeriveSeed:
