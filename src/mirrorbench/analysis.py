@@ -11,15 +11,18 @@ kind and shots within each circuit.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from mirrorbench.circuits import ContractError
+from mirrorbench.core import (
+    ContractError,
+    FidelityRecord,
+    render_volumetric_svg,
+    volumetric_summary,
+)
 from mirrorbench.sim import OutcomeDistribution, ShotTable, derive_seed
 
 __all__ = [
@@ -54,28 +57,6 @@ class PolarizationEstimate:
     circuit_id: str
     S: float
     shots: int
-
-
-@dataclass(frozen=True)
-class FidelityRecord:
-    """Estimated process fidelity of one benchmark circuit."""
-
-    benchmark_id: str
-    F_hat: float  # NaN when the ratio denominator is floored
-    F_clamped: float
-    sigma_boot: float
-    S1: float
-    S2: float
-    S3: float
-    width: int
-    depth: int
-    shape: tuple[int, int] | None = None
-    kind: str = "benchmark"
-    flags: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if self.sigma_boot < 0:
-            raise ContractError("sigma_boot must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -287,60 +268,3 @@ def predict_full_fidelity(eer: EffectiveErrorRate, w_c: int, d_c: int) -> float:
     if w_c < 1 or d_c < 1:
         raise ContractError("full-circuit shape must be positive")
     return (1.0 - eer.epsilon) ** (w_c * d_c)
-
-
-# --- volumetric summaries ------------------------------------------------------------
-
-
-def volumetric_summary(records: list[FidelityRecord]) -> str:
-    """CSV with one row per (width, depth) shape: count, mean, min, max F."""
-    cells: dict[tuple[int, int], list[float]] = {}
-    for r in records:
-        shape = r.shape or (r.width, r.depth)
-        cells.setdefault(shape, []).append(r.F_clamped)
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["shape_w", "shape_d", "count", "mean_F", "min_F", "max_F"])
-    for (sw, sd) in sorted(cells):
-        fs = cells[(sw, sd)]
-        w.writerow([sw, sd, len(fs), f"{np.mean(fs):.6f}",
-                    f"{min(fs):.6f}", f"{max(fs):.6f}"])
-    return buf.getvalue()
-
-
-def _color(f: float) -> str:
-    f = min(1.0, max(0.0, f))
-    r = int(round(255 * (1.0 - f)))
-    g = int(round(200 * f))
-    return f"#{r:02x}{g:02x}50"
-
-
-def render_volumetric_svg(records: list[FidelityRecord]) -> str:
-    """Hand-rolled SVG grid: width x depth axes, cell color = mean F."""
-    cells: dict[tuple[int, int], list[float]] = {}
-    for r in records:
-        shape = r.shape or (r.width, r.depth)
-        cells.setdefault(shape, []).append(r.F_clamped)
-    widths = sorted({s[0] for s in cells})
-    depths = sorted({s[1] for s in cells})
-    cs, pad = 64, 60
-    svg_w = pad + cs * max(1, len(depths)) + 20
-    svg_h = pad + cs * max(1, len(widths)) + 20
-    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{svg_w}" '
-           f'height="{svg_h}" font-family="sans-serif" font-size="11">']
-    out.append(f'<text x="{pad}" y="16">mean estimated fidelity by shape '
-               f'(columns: depth, rows: width)</text>')
-    for j, d in enumerate(depths):
-        out.append(f'<text x="{pad + j * cs + cs // 3}" y="{pad - 8}">d={d}</text>')
-    for i, wdt in enumerate(widths):
-        out.append(f'<text x="8" y="{pad + i * cs + cs // 2}">w={wdt}</text>')
-    for (sw, sd), fs in sorted(cells.items()):
-        i, j = widths.index(sw), depths.index(sd)
-        mean = float(np.mean(fs))
-        x, y = pad + j * cs, pad + i * cs
-        out.append(f'<rect x="{x}" y="{y}" width="{cs - 2}" height="{cs - 2}" '
-                   f'fill="{_color(mean)}" class="cell"/>')
-        out.append(f'<text x="{x + 6}" y="{y + cs // 2}" fill="#000">'
-                   f'{mean:.3f}</text>')
-    out.append("</svg>")
-    return "\n".join(out)

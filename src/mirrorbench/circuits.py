@@ -40,6 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from mirrorbench.core import CapacityError, ContractError
+
 __all__ = [
     "GateOp",
     "Circuit",
@@ -71,22 +73,6 @@ __all__ = [
     "clifford_inverse_index",
     "permutation_matrix",
 ]
-
-
-class CapacityError(Exception):
-    """Raised when a dense computation would exceed its configured qubit limit."""
-
-
-class ContractError(Exception):
-    """Raised when an operation's precondition is violated.
-
-    ``at`` is the ``(layer, position)`` of the offending gate when the error
-    is about one gate of a circuit.
-    """
-
-    def __init__(self, message: str = "", at: tuple[int, int] | None = None):
-        super().__init__(message)
-        self.at = at
 
 
 # --- gate set ----------------------------------------------------------------

@@ -28,47 +28,34 @@ import math
 import os
 import sys
 import time
+from typing import TYPE_CHECKING
 
 import click
 
-from mirrorbench import algos
-from mirrorbench.algos import PauliSumHamiltonian, TrotterSpec
-from mirrorbench.bench import (
-    BenchmarkSuite,
-    ShapeSpec,
-    build_full_stack,
-    build_low_level,
-    build_subcircuit,
-)
-from mirrorbench.circuits import CapacityError, Circuit, ContractError, CouplingGraph
-from mirrorbench.mirror import SamplingParams
-from mirrorbench.qasm import QasmError, parse_qasm
-from mirrorbench.sim import (
+# Each stage runs in its own process, and its import time is a large part of
+# its wall time, so this module imports only the stdlib-only ``core`` at the
+# top. The numpy modules are imported inside the commands and helpers that
+# call them: ``--help`` and ``report`` never load numpy, and no stage
+# compiles a module it does not run.
+from mirrorbench.core import (
+    CapacityError,
+    ContractError,
+    FidelityRecord,
     NoiseModel,
-    ShotTable,
-    derive_seed,
-    exact_process_fidelity,
-    fake_uniform_shots,
-    sample_shots,
-)
-from mirrorbench.storage import (
-    Manifest,
+    QasmError,
     SchemaError,
     open_atomic,
-    read_circuits,
-    read_manifest,
-    read_shot_tables,
-    write_circuits,
-    write_manifest,
-    write_shot_tables,
-)
-from mirrorbench.analysis import (
-    FidelityRecord,
-    estimate_benchmark,
     render_volumetric_svg,
     volumetric_summary,
 )
-from mirrorbench.transpile import TranspileConfig
+
+if TYPE_CHECKING:
+    from mirrorbench.algos import PauliSumHamiltonian
+    from mirrorbench.bench import BenchmarkSuite
+    from mirrorbench.circuits import Circuit, CouplingGraph
+    from mirrorbench.mirror import SamplingParams
+    from mirrorbench.sim import ShotTable
+    from mirrorbench.storage import Manifest
 
 EXIT_PARTIAL = 1
 EXIT_CONFIG = 2
@@ -107,6 +94,8 @@ def _require(cfg: dict, key: str, where: str = "config"):
 
 
 def _coupling_from(obj, n: int) -> CouplingGraph:
+    from mirrorbench.circuits import CouplingGraph
+
     if obj == "line":
         return CouplingGraph.line(n)
     if obj == "all_to_all":
@@ -117,6 +106,8 @@ def _coupling_from(obj, n: int) -> CouplingGraph:
 
 
 def _hamiltonian_from(spec: dict) -> PauliSumHamiltonian:
+    from mirrorbench import algos
+
     kind = _require(spec, "type", "hamiltonian")
     if kind == "tfim":
         return algos.tfim(int(_require(spec, "n", "hamiltonian")))
@@ -127,7 +118,7 @@ def _hamiltonian_from(spec: dict) -> PauliSumHamiltonian:
                              int(spec.get("r", 2)), int(spec.get("seed", 0)))
     if kind == "file":
         with open(_require(spec, "path", "hamiltonian"), encoding="utf-8") as fp:
-            return PauliSumHamiltonian.from_dict(json.load(fp))
+            return algos.PauliSumHamiltonian.from_dict(json.load(fp))
     raise ConfigError(f"unknown hamiltonian type {kind!r}")
 
 
@@ -136,11 +127,15 @@ def _input_circuits(cfg: dict) -> list[Circuit]:
     inputs = _require(cfg, "inputs")
     out: list[Circuit] = []
     if "qasm_paths" in inputs:
+        from mirrorbench.qasm import parse_qasm
+
         for path in inputs["qasm_paths"]:
             with open(path, encoding="utf-8") as fp:
                 c = parse_qasm(fp.read())
             out.append(c.with_id(os.path.splitext(os.path.basename(path))[0]))
         return out
+    from mirrorbench import algos
+
     family = _require(inputs, "family", "inputs")
     kind = _require(family, "kind", "inputs.family")
     if kind == "brickwork":
@@ -161,7 +156,7 @@ def _input_circuits(cfg: dict) -> list[Circuit]:
         circs = []
         for order in orders:
             for m in steps:
-                c = algos.trotter_circuit(h, TrotterSpec(int(order), int(m), t))
+                c = algos.trotter_circuit(h, algos.TrotterSpec(int(order), int(m), t))
                 circs.append(c)
         return circs
     raise ConfigError(f"unknown circuit family {kind!r}")
@@ -186,11 +181,15 @@ def _load_config(path: str) -> dict:
 
 def _experiment(out_dir: str) -> tuple[dict, Manifest]:
     """The config and manifest that ``generate`` left in an experiment directory."""
+    from mirrorbench.storage import read_manifest
+
     return (_load_config(_input(out_dir, "config.json")),
             read_manifest(_input(out_dir, "manifest.json")))
 
 
 def _sampling_from(cfg: dict) -> SamplingParams:
+    from mirrorbench.mirror import SamplingParams
+
     s = cfg.get("sampling", {})
     return SamplingParams(int(s.get("m1", 10)), int(s.get("m2", 10)),
                           int(s.get("m3", 10)), int(cfg["seed"]))
@@ -205,6 +204,14 @@ def _noise(cfg: dict) -> NoiseModel:
 
 def _build(cfg: dict) -> BenchmarkSuite:
     """The suite a config describes; every bad value in it is a ConfigError."""
+    from mirrorbench.bench import (
+        ShapeSpec,
+        build_full_stack,
+        build_low_level,
+        build_subcircuit,
+    )
+    from mirrorbench.transpile import TranspileConfig
+
     try:
         circuits = _input_circuits(cfg)
         params = _sampling_from(cfg)
@@ -265,6 +272,8 @@ def main():
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def generate(config_path: str, out_dir: str):
     """Create a benchmark suite: manifest.json + circuits.jsonl."""
+    from mirrorbench.storage import write_circuits, write_manifest
+
     t0 = time.monotonic()
     cfg = _load_config(config_path)
     suite = _build(cfg)
@@ -284,10 +293,14 @@ def generate(config_path: str, out_dir: str):
 
 
 def _shot_seed(master: int, circuit_id: str) -> int:
+    from mirrorbench.sim import derive_seed
+
     return int(derive_seed(master, circuit_id, "shots").integers(0, 2 ** 31))
 
 
 def _simulate_one(payload):
+    from mirrorbench.sim import sample_shots
+
     c, nm_dict, shots, seed = payload
     try:
         return sample_shots(c, NoiseModel.from_dict(nm_dict), shots, seed), None
@@ -303,6 +316,9 @@ def _simulate_one(payload):
 @click.option("--jobs", type=click.IntRange(min=1), default=1)
 def simulate(out_dir, fake_uniform, shots, jobs):
     """Produce shots.jsonl for every proxy circuit in the suite."""
+    from mirrorbench.sim import fake_uniform_shots
+    from mirrorbench.storage import read_circuits, write_shot_tables
+
     t0 = time.monotonic()
     cfg, manifest = _experiment(out_dir)
     nm = _noise(cfg)
@@ -351,6 +367,9 @@ RESULT_COLUMNS = ["benchmark_id", "kind", "width", "depth", "shape_w", "shape_d"
 
 
 def _analyze_records(out_dir: str, bootstrap: int = 200) -> list[FidelityRecord]:
+    from mirrorbench.analysis import estimate_benchmark
+    from mirrorbench.storage import read_shot_tables
+
     cfg, manifest = _experiment(out_dir)
     with open(_input(out_dir, "shots.jsonl"), encoding="utf-8") as fp:
         tables = {t.circuit_id: t for t in read_shot_tables(fp)}
@@ -397,32 +416,43 @@ def analyze(out_dir, bootstrap):
     click.echo(f"analyzed {len(records)} benchmarks in {time.monotonic() - t0:.2f}s")
 
 
-def _read_results(out_dir: str) -> list[dict]:
-    with open(_input(out_dir, "results.csv"), encoding="utf-8", newline="") as fp:
-        return list(csv.DictReader(fp))
+def _record_from(row: dict) -> FidelityRecord:
+    shape = (int(row["shape_w"]), int(row["shape_d"])) if row["shape_w"] else None
+    return FidelityRecord(
+        row["benchmark_id"], float(row["F_hat"]), float(row["F_clamped"]),
+        float(row["sigma_boot"]), float(row["S1"]), float(row["S2"]),
+        float(row["S3"]), int(row["width"]), int(row["depth"]), shape,
+        flags=tuple(f for f in row["flags"].split(";") if f))
+
+
+def _read_results(out_dir: str) -> list[FidelityRecord]:
+    """The records ``analyze`` wrote; a malformed results.csv is a ConfigError."""
+    path = _input(out_dir, "results.csv")
+    with open(path, encoding="utf-8", newline="") as fp:
+        rows = list(csv.DictReader(fp))
+    try:
+        return [_record_from(row) for row in rows]
+    except KeyError as e:
+        raise ConfigError(f"{path}: missing column {e}") from None
+    except (AttributeError, TypeError, ValueError) as e:
+        raise ConfigError(f"{path}: bad value ({e})") from None
 
 
 @main.command()
 @click.option("--out", "out_dir", required=True, type=click.Path(exists=True))
 def report(out_dir):
     """Render report.svg and summary.txt from results.csv."""
-    rows = _read_results(out_dir)
+    recs = _read_results(out_dir)
     cfg = _load_config(_input(out_dir, "config.json"))
-    recs = []
-    for row in rows:
-        shape = ((int(row["shape_w"]), int(row["shape_d"]))
-                 if row["shape_w"] else None)
-        recs.append(FidelityRecord(
-            row["benchmark_id"], float(row["F_hat"]), float(row["F_clamped"]),
-            float(row["sigma_boot"]), float(row["S1"]), float(row["S2"]),
-            float(row["S3"]), int(row["width"]), int(row["depth"]), shape,
-            flags=tuple(f for f in row["flags"].split(";") if f)))
     with open_atomic(os.path.join(out_dir, "report.svg")) as fp:
         fp.write(render_volumetric_svg(recs))
     lines = ["benchmark summary", "=================", ""]
     lines.append(volumetric_summary(recs).rstrip())
     family = cfg.get("inputs", {}).get("family", {})
     if family.get("kind") == "trotter":
+        from mirrorbench import algos
+        from mirrorbench.storage import read_circuits
+
         h = _hamiltonian_from(family["hamiltonian"])
         lines += ["", "trotter fidelities (algorithmic / noise / full):"]
         with open(_input(out_dir, "circuits.jsonl"), encoding="utf-8") as fp:
@@ -434,8 +464,8 @@ def report(out_dir):
             tm = meta_by_id.get(r.benchmark_id)
             if tm is None or h.n > 10:
                 continue
-            spec = TrotterSpec(int(tm["order"]), int(tm["steps"]),
-                               float(tm["time"]))
+            spec = algos.TrotterSpec(int(tm["order"]), int(tm["steps"]),
+                                     float(tm["time"]))
             f_alg = algos.algorithmic_process_fidelity(h, spec)
             f_full = algos.full_process_fidelity(f_alg, r.F_clamped)
             lines.append(f"  {r.benchmark_id}: F_alg={f_alg:.6f} "
@@ -451,8 +481,10 @@ def report(out_dir):
               help="Largest width for the exact oracle.")
 def oracle(out_dir, max_n):
     """Exact process fidelities (n <= max-n) next to the estimates."""
-    rows = _read_results(out_dir)
-    f_hat = {row["benchmark_id"]: float(row["F_hat"]) for row in rows}
+    from mirrorbench.sim import exact_process_fidelity
+    from mirrorbench.storage import read_circuits
+
+    f_hat = {r.benchmark_id: r.F_hat for r in _read_results(out_dir)}
     cfg, manifest = _experiment(out_dir)
     nm = _noise(cfg)
     qualifying = {r["id"] for r in manifest.records

@@ -1,0 +1,254 @@
+"""The stdlib-only part of mirrorbench: what every stage process needs before
+it does any numerical work.
+
+It holds the errors that the CLI turns into exit codes, the noise model that
+every stage validates from ``config.json``, atomic file writes, and the
+fidelity records and volumetric renderers of ``report``. Nothing here imports
+numpy, so ``mirrorbench --help`` and ``mirrorbench report`` start without
+it. The modules these names belong to re-export them (``sim.NoiseModel``,
+``analysis.volumetric_summary``, ...), so either name gives the same object.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import csv
+import io
+import math
+import os
+from dataclasses import dataclass, field
+from typing import IO, Iterator
+
+__all__ = [
+    "CapacityError",
+    "ContractError",
+    "SchemaError",
+    "QasmError",
+    "NoiseModel",
+    "open_atomic",
+    "FidelityRecord",
+    "volumetric_summary",
+    "render_volumetric_svg",
+]
+
+
+# --- errors --------------------------------------------------------------------------
+
+
+class CapacityError(Exception):
+    """Raised when a dense computation would exceed its configured qubit limit."""
+
+
+class ContractError(Exception):
+    """Raised when an operation's precondition is violated.
+
+    ``at`` is the ``(layer, position)`` of the offending gate when the error
+    is about one gate of a circuit.
+    """
+
+    def __init__(self, message: str = "", at: tuple[int, int] | None = None):
+        super().__init__(message)
+        self.at = at
+
+
+class SchemaError(Exception):
+    """Validation failure, carrying the JSON path of the offending value."""
+
+    def __init__(self, message: str, path: str):
+        super().__init__(f"{path}: {message}")
+        self.path = path
+
+
+class QasmError(Exception):
+    """Parse or structure error, with source position."""
+
+    def __init__(self, message: str, line: int, col: int):
+        super().__init__(f"line {line}, col {col}: {message}")
+        self.line = line
+        self.col = col
+
+
+# --- noise model ---------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class NoiseModel:
+    """Gate, idle, and readout error parameters for the simulated device."""
+
+    lam_1q: float = 0.0
+    lam_2q: float = 0.0
+    theta_over: dict[str, float] = field(default_factory=dict)
+    theta_idle: float = 0.0
+    eps_ro: float = 0.0
+
+    def __post_init__(self):
+        if not 0.0 <= self.lam_1q <= 1.0 or not 0.0 <= self.lam_2q <= 1.0:
+            raise ContractError("depolarizing parameters must lie in [0, 1]")
+        if not 0.0 <= self.eps_ro <= 0.5:
+            raise ContractError("readout flip probability must lie in [0, 0.5]")
+        for k, v in self.theta_over.items():
+            if k not in ("X", "SX"):
+                raise ContractError(f"over-rotation only defined for X and SX, got {k!r}")
+            if not math.isfinite(v):
+                raise ContractError("over-rotation angle must be finite")
+        if not math.isfinite(self.theta_idle):
+            raise ContractError("idle angle must be finite")
+
+    @classmethod
+    def noiseless(cls) -> "NoiseModel":
+        return cls()
+
+    def is_noiseless(self) -> bool:
+        return (self.lam_1q == 0 and self.lam_2q == 0 and self.theta_idle == 0
+                and self.eps_ro == 0 and not any(self.theta_over.values()))
+
+    def to_dict(self) -> dict:
+        return {
+            "lam_1q": self.lam_1q,
+            "lam_2q": self.lam_2q,
+            "theta_over": dict(self.theta_over),
+            "theta_idle": self.theta_idle,
+            "eps_ro": self.eps_ro,
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "NoiseModel":
+        return cls(
+            lam_1q=d.get("lam_1q", 0.0),
+            lam_2q=d.get("lam_2q", 0.0),
+            theta_over=dict(d.get("theta_over", {})),
+            theta_idle=d.get("theta_idle", 0.0),
+            eps_ro=d.get("eps_ro", 0.0),
+        )
+
+
+# --- atomic writes -------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def open_atomic(path: str) -> Iterator[IO[str]]:
+    """Open ``path`` for writing text that replaces it whole or not at all.
+
+    The text goes to a temporary file in the same directory, which replaces
+    ``path`` when the block ends and is removed when the block raises.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fp:
+            yield fp
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+# --- fidelity records and volumetric summaries ---------------------------------------
+
+
+@dataclass(frozen=True)
+class FidelityRecord:
+    """Estimated process fidelity of one benchmark circuit."""
+
+    benchmark_id: str
+    F_hat: float  # NaN when the ratio denominator is floored
+    F_clamped: float
+    sigma_boot: float
+    S1: float
+    S2: float
+    S3: float
+    width: int
+    depth: int
+    shape: tuple[int, int] | None = None
+    kind: str = "benchmark"
+    flags: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        if self.sigma_boot < 0:
+            raise ContractError("sigma_boot must be >= 0")
+
+
+def _pairwise_sum(xs: list[float]) -> float:
+    """The sum of ``xs`` added in numpy's pairwise order (``np.add.reduce`` on
+    a contiguous float64 array), so that a mean prints as ``np.mean``'s does."""
+    n = len(xs)
+    if n < 8:
+        total = 0.0
+        for x in xs:
+            total += x
+        return total
+    if n <= 128:
+        r = list(xs[:8])
+        i = 8
+        while i < n - n % 8:
+            for j in range(8):
+                r[j] += xs[i + j]
+            i += 8
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for x in xs[i:]:
+            total += x
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(xs[:half]) + _pairwise_sum(xs[half:])
+
+
+def _mean(xs: list[float]) -> float:
+    return _pairwise_sum(xs) / len(xs)
+
+
+def _cells(records: list[FidelityRecord]) -> dict[tuple[int, int], list[float]]:
+    """F_clamped of the records, grouped by (width, depth) shape."""
+    cells: dict[tuple[int, int], list[float]] = {}
+    for r in records:
+        shape = r.shape or (r.width, r.depth)
+        cells.setdefault(shape, []).append(r.F_clamped)
+    return cells
+
+
+def volumetric_summary(records: list[FidelityRecord]) -> str:
+    """CSV with one row per (width, depth) shape: count, mean, min, max F."""
+    cells = _cells(records)
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(["shape_w", "shape_d", "count", "mean_F", "min_F", "max_F"])
+    for (sw, sd) in sorted(cells):
+        fs = cells[(sw, sd)]
+        w.writerow([sw, sd, len(fs), f"{_mean(fs):.6f}",
+                    f"{min(fs):.6f}", f"{max(fs):.6f}"])
+    return buf.getvalue()
+
+
+def _color(f: float) -> str:
+    f = min(1.0, max(0.0, f))
+    r = int(round(255 * (1.0 - f)))
+    g = int(round(200 * f))
+    return f"#{r:02x}{g:02x}50"
+
+
+def render_volumetric_svg(records: list[FidelityRecord]) -> str:
+    """Hand-rolled SVG grid: width x depth axes, cell color = mean F."""
+    cells = _cells(records)
+    widths = sorted({s[0] for s in cells})
+    depths = sorted({s[1] for s in cells})
+    cs, pad = 64, 60
+    svg_w = pad + cs * max(1, len(depths)) + 20
+    svg_h = pad + cs * max(1, len(widths)) + 20
+    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{svg_w}" '
+           f'height="{svg_h}" font-family="sans-serif" font-size="11">']
+    out.append(f'<text x="{pad}" y="16">mean estimated fidelity by shape '
+               f'(columns: depth, rows: width)</text>')
+    for j, d in enumerate(depths):
+        out.append(f'<text x="{pad + j * cs + cs // 3}" y="{pad - 8}">d={d}</text>')
+    for i, wdt in enumerate(widths):
+        out.append(f'<text x="8" y="{pad + i * cs + cs // 2}">w={wdt}</text>')
+    for (sw, sd), fs in sorted(cells.items()):
+        i, j = widths.index(sw), depths.index(sd)
+        mean = _mean(fs)
+        x, y = pad + j * cs, pad + i * cs
+        out.append(f'<rect x="{x}" y="{y}" width="{cs - 2}" height="{cs - 2}" '
+                   f'fill="{_color(mean)}" class="cell"/>')
+        out.append(f'<text x="{x + 6}" y="{y + cs // 2}" fill="#000">'
+                   f'{mean:.3f}</text>')
+    out.append("</svg>")
+    return "\n".join(out)

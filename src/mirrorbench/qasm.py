@@ -11,19 +11,11 @@ import re
 from dataclasses import dataclass
 
 from mirrorbench.circuits import Circuit, GateOp, gate_matrix, layerize, u3_params_from_matrix
+from mirrorbench.core import QasmError
 
 __all__ = ["parse_qasm", "serialize_qasm", "QasmError", "UnsupportedGateError"]
 
 PI = 3.141592653589793
-
-
-class QasmError(Exception):
-    """Parse or structure error, with source position."""
-
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"line {line}, col {col}: {message}")
-        self.line = line
-        self.col = col
 
 
 class UnsupportedGateError(QasmError):

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,6 +52,7 @@ from mirrorbench.circuits import (
     gate_matrix,
     unitary_of,
 )
+from mirrorbench.core import NoiseModel
 
 __all__ = [
     "NoiseModel",
@@ -69,57 +70,6 @@ __all__ = [
 ]
 
 _X = PAULI_MATS[1]
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Gate, idle, and readout error parameters for the simulated device."""
-
-    lam_1q: float = 0.0
-    lam_2q: float = 0.0
-    theta_over: dict[str, float] = field(default_factory=dict)
-    theta_idle: float = 0.0
-    eps_ro: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.lam_1q <= 1.0 or not 0.0 <= self.lam_2q <= 1.0:
-            raise ContractError("depolarizing parameters must lie in [0, 1]")
-        if not 0.0 <= self.eps_ro <= 0.5:
-            raise ContractError("readout flip probability must lie in [0, 0.5]")
-        for k, v in self.theta_over.items():
-            if k not in ("X", "SX"):
-                raise ContractError(f"over-rotation only defined for X and SX, got {k!r}")
-            if not math.isfinite(v):
-                raise ContractError("over-rotation angle must be finite")
-        if not math.isfinite(self.theta_idle):
-            raise ContractError("idle angle must be finite")
-
-    @classmethod
-    def noiseless(cls) -> "NoiseModel":
-        return cls()
-
-    def is_noiseless(self) -> bool:
-        return (self.lam_1q == 0 and self.lam_2q == 0 and self.theta_idle == 0
-                and self.eps_ro == 0 and not any(self.theta_over.values()))
-
-    def to_dict(self) -> dict:
-        return {
-            "lam_1q": self.lam_1q,
-            "lam_2q": self.lam_2q,
-            "theta_over": dict(self.theta_over),
-            "theta_idle": self.theta_idle,
-            "eps_ro": self.eps_ro,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NoiseModel":
-        return cls(
-            lam_1q=d.get("lam_1q", 0.0),
-            lam_2q=d.get("lam_2q", 0.0),
-            theta_over=dict(d.get("theta_over", {})),
-            theta_idle=d.get("theta_idle", 0.0),
-            eps_ro=d.get("eps_ro", 0.0),
-        )
 
 
 @dataclass

@@ -9,9 +9,7 @@ round-trips bit for bit. Every file a pipeline stage writes goes through
 
 from __future__ import annotations
 
-import contextlib
 import json
-import os
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator
 
@@ -28,6 +26,7 @@ from mirrorbench.circuits import (
     KIND_NPARAMS,
     KINDS,
 )
+from mirrorbench.core import SchemaError, open_atomic
 from mirrorbench.sim import ShotTable
 
 __all__ = [
@@ -46,14 +45,6 @@ __all__ = [
 
 BENCHMARK_TYPES = ("low_level", "full_stack", "subcircuit")
 RECORD_KINDS = ("M1", "M2", "M3", "benchmark", "input")
-
-
-class SchemaError(Exception):
-    """Validation failure, carrying the JSON path of the offending value."""
-
-    def __init__(self, message: str, path: str):
-        super().__init__(f"{path}: {message}")
-        self.path = path
 
 
 def circuit_to_json(c: Circuit) -> str:
@@ -156,24 +147,6 @@ def circuit_from_json(line: str, *, path: str = "$") -> Circuit:
     except ContractError as e:
         at = "" if e.at is None else ".layers[{}][{}]".format(*e.at)
         raise SchemaError(str(e), path + at) from None
-
-
-@contextlib.contextmanager
-def open_atomic(path: str) -> Iterator[IO[str]]:
-    """Open ``path`` for writing text that replaces it whole or not at all.
-
-    The text goes to a temporary file in the same directory, which replaces
-    ``path`` when the block ends and is removed when the block raises.
-    """
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fp:
-            yield fp
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
 
 
 def write_circuits(fp: IO[str], circuits: Iterable[Circuit]) -> int:

@@ -263,7 +263,7 @@ class TestAcceptance:
         return time.monotonic() - t0
 
     @staticmethod
-    def _best_of(runner, n: int, reps: int = 2) -> float:
+    def _best_of(runner, n: int, reps: int = 3) -> float:
         import gc
         best = math.inf
         for _ in range(reps):

@@ -19,6 +19,7 @@ from mirrorbench.analysis import (
     volumetric_summary,
 )
 from mirrorbench.circuits import ContractError
+from mirrorbench.core import _mean
 from mirrorbench.sim import ShotTable, fake_uniform_shots
 
 
@@ -214,6 +215,17 @@ class TestVolumetric:
         svg = render_volumetric_svg(self._records())
         assert svg.count('class="cell"') == 2
         assert svg.startswith("<svg") and svg.endswith("</svg>")
+
+    def test_means_equal_numpy_mean(self):
+        # The renderers average without numpy, adding in np.mean's pairwise
+        # order, so the printed means do not move in the last digit.
+        rng = np.random.default_rng(12)
+        for size in [*range(1, 40), 64, 127, 128, 129, 200, 300, 517]:
+            fs = list(rng.random(size) ** rng.integers(1, 9))
+            assert _mean(fs) == np.mean(fs), size
+            recs = [FidelityRecord(str(i), f, f, 0.0, 1, 1, 1, 2, 4)
+                    for i, f in enumerate(fs)]
+            assert f",{np.mean(fs):.6f}," in volumetric_summary(recs)
 
     def test_shape_defaults_to_width_depth(self):
         recs = [FidelityRecord("a", 0.9, 0.9, 0.0, 1, 1, 1, 5, 7)]

@@ -7,7 +7,7 @@ import re
 import pytest
 from click.testing import CliRunner
 
-from mirrorbench import cli
+from mirrorbench import sim
 from mirrorbench.circuits import ContractError
 from mirrorbench.cli import main
 
@@ -161,6 +161,28 @@ class TestPipeline:
             os.remove(os.path.join(out, delete))
         run_err(runner, [stage, "--out", out], code)
 
+    @pytest.mark.parametrize("stage, written", [("report", "summary.txt"),
+                                                ("oracle", "oracle.csv")])
+    @pytest.mark.parametrize("column, value", [("shape_w", None), ("F_hat", None),
+                                               ("F_hat", "abc"), ("width", "")])
+    def test_malformed_results_exit_2(self, runner, tmp_path, stage, written,
+                                      column, value):
+        # value None drops the column; otherwise every row gets the value.
+        out = self._generate(runner, tmp_path)
+        run_ok(runner, ["simulate", "--out", out])
+        run_ok(runner, ["analyze", "--out", out, "--bootstrap", "5"])
+        path = os.path.join(out, "results.csv")
+        rows = read_csv(path)
+        fields = [f for f in rows[0] if not (value is None and f == column)]
+        with open(path, "w", newline="") as fp:
+            w = csv.DictWriter(fp, fields, extrasaction="ignore")
+            w.writeheader()
+            for row in rows:
+                w.writerow(row if value is None else dict(row, **{column: value}))
+        result = run_err(runner, [stage, "--out", out], 2)
+        assert result.stderr.startswith("config error: ") and "results.csv" in result.stderr
+        assert not os.path.exists(os.path.join(out, written))
+
     def test_regenerate_removes_stale_outputs(self, runner, tmp_path):
         # Proxy ids do not depend on the noise model, so shots left from the
         # noiseless suite would pass for shots of the noisy one.
@@ -176,7 +198,7 @@ class TestPipeline:
         run_ok(runner, ["simulate", "--out", out])
         shots_path = pathlib.Path(out, "shots.jsonl")
         before = shots_path.read_bytes()
-        calls, sample_shots = [], cli.sample_shots
+        calls, sample_shots = [], sim.sample_shots
 
         def fail_second(c, *args):
             calls.append(c.id)
@@ -184,7 +206,7 @@ class TestPipeline:
                 raise ContractError("injected failure")
             return sample_shots(c, *args)
 
-        monkeypatch.setattr(cli, "sample_shots", fail_second)
+        monkeypatch.setattr(sim, "sample_shots", fail_second)
         run_err(runner, ["simulate", "--out", out], 2)
         assert shots_path.read_bytes() == before
         assert sorted(os.listdir(out)) == ["circuits.jsonl", "config.json", "manifest.json",
@@ -256,7 +278,7 @@ class TestPipeline:
             seen.append((c.n, max_n))
             return 1.0
 
-        monkeypatch.setattr(cli, "exact_process_fidelity", oracle_stub)
+        monkeypatch.setattr(sim, "exact_process_fidelity", oracle_stub)
         run_ok(runner, ["oracle", "--out", out, "--max-n", "7"])
         assert seen == [(7, 7)]
 

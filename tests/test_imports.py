@@ -1,0 +1,102 @@
+"""What each stage process imports, and the package's lazily resolved names."""
+
+import importlib
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+from click.testing import CliRunner
+
+import mirrorbench
+from mirrorbench.cli import main
+
+SRC = pathlib.Path(mirrorbench.__file__).resolve().parent.parent
+# The real entry point, reporting which modules the stage loaded.
+ENTRY = """import json, sys
+from mirrorbench.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit as e:
+    code = e.code
+print(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)
+"""
+UNUSED_BY_LATER_STAGES = ("bench", "mirror", "transpile", "algos", "qasm")
+
+
+@pytest.fixture(scope="module")
+def experiment(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("imports")
+    config = tmp / "config.json"
+    config.write_text(json.dumps({
+        "benchmark_type": "low_level",
+        "inputs": {"family": {"kind": "brickwork", "n": 3, "depth": 4, "seed": 0}},
+        "sampling": {"m1": 2, "m2": 2, "m3": 2},
+        "shots": 50,
+        "seed": 5,
+    }))
+    out = str(tmp / "exp")
+    runner = CliRunner()
+    for args in (["generate", "--config", str(config)], ["simulate"],
+                 ["analyze", "--bootstrap", "5"]):
+        result = runner.invoke(main, [*args, "--out", out])
+        assert result.exit_code == 0, result.output
+    return out
+
+
+def stage_modules(*args: str) -> set[str]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", ENTRY, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    code, modules = json.loads(proc.stderr.splitlines()[-1])
+    assert code in (0, None), proc.stderr
+    return set(modules)
+
+
+def test_help_does_not_load_numpy():
+    assert "numpy" not in stage_modules("--help")
+
+
+def test_report_does_not_load_numpy(experiment):
+    modules = stage_modules("report", "--out", experiment)
+    assert "numpy" not in modules
+    assert os.path.exists(os.path.join(experiment, "summary.txt"))
+
+
+@pytest.mark.parametrize("args", [["simulate"], ["analyze", "--bootstrap", "5"],
+                                  ["oracle"]], ids=lambda a: a[0])
+def test_later_stages_skip_generate_modules(experiment, args):
+    modules = stage_modules(*args, "--out", experiment)
+    loaded = [m for m in UNUSED_BY_LATER_STAGES if f"mirrorbench.{m}" in modules]
+    assert loaded == []
+
+
+def test_public_names_resolve_to_their_defining_objects():
+    # A loaded submodule does not shadow the public function of its name.
+    importlib.import_module("mirrorbench.transpile")
+    for name in mirrorbench.__all__:
+        obj = getattr(mirrorbench, name)
+        assert getattr(importlib.import_module(obj.__module__), name) is obj, name
+
+
+def test_moved_names_are_reexported_unchanged():
+    from mirrorbench import analysis, circuits, core, qasm, sim, storage
+
+    pairs = [(circuits, "CapacityError"), (circuits, "ContractError"),
+             (storage, "SchemaError"), (storage, "open_atomic"), (qasm, "QasmError"),
+             (sim, "NoiseModel"), (analysis, "FidelityRecord"),
+             (analysis, "volumetric_summary"), (analysis, "render_volumetric_svg")]
+    for module, name in pairs:
+        assert getattr(module, name) is getattr(core, name), (module.__name__, name)
+        assert name in module.__all__
+
+
+def test_package_dir_and_unknown_names():
+    assert set(mirrorbench.__all__) <= set(dir(mirrorbench))
+    with pytest.raises(AttributeError):
+        mirrorbench.no_such_name  # noqa: B018
+    with pytest.raises(ImportError):
+        from mirrorbench import no_such_name  # noqa: F401
