@@ -61,6 +61,7 @@ __all__ = [
     "PAULI_CONJ_C1Q",
     "PAULI_CONJ_CZ",
     "gate_matrix",
+    "gate_matrices_1q",
     "layerize",
     "inverse",
     "invert_op",
@@ -85,6 +86,12 @@ GATE_NPARAMS = {
     "X": 0, "SX": 0, "RZ": 1, "H": 0, "U3": 3, "C1Q": 1,
     "CZ": 0, "CX": 0, "SWAP": 0, "CP": 1,
 }
+# A circuit stores each gate's kind as its index in KINDS; KIND_ARITY and
+# KIND_NPARAMS are indexed by that code.
+KINDS = tuple(GATE_ARITY)
+KIND_CODE = {k: i for i, k in enumerate(KINDS)}
+KIND_ARITY = np.array([GATE_ARITY[k] for k in KINDS])
+KIND_NPARAMS = np.array([GATE_NPARAMS[k] for k in KINDS])
 ONE_QUBIT_KINDS = frozenset(k for k, a in GATE_ARITY.items() if a == 1)
 TWO_QUBIT_KINDS = frozenset(k for k, a in GATE_ARITY.items() if a == 2)
 NATIVE_KINDS = frozenset({"X", "SX", "RZ", "CZ"})
@@ -199,6 +206,38 @@ def gate_matrix(kind: str, params: tuple = ()) -> np.ndarray:
     raise ContractError(f"unknown gate kind {kind!r}")
 
 
+# Matrix of each kind without parameters (identity for the others).
+_FIXED_1Q = np.stack([gate_matrix(k) if GATE_NPARAMS[k] == 0 and GATE_ARITY[k] == 1
+                      else _I2 for k in KINDS])
+
+
+def gate_matrices_1q(kind: np.ndarray, params: np.ndarray) -> np.ndarray:
+    """Stack of the 2x2 matrices of 1-qubit gates given as kind codes and
+    ``(m, 3)`` params, vectorized by kind; equal to ``gate_matrix`` bit for
+    bit."""
+    out = _FIXED_1Q[kind]
+    u3 = kind == KIND_CODE["U3"]
+    if u3.any():
+        t, p, l = params[u3].T
+        c, s = np.cos(t / 2), np.sin(t / 2)
+        m = np.empty((len(t), 2, 2), dtype=complex)
+        m[:, 0, 0] = c
+        m[:, 0, 1] = -np.exp(1j * l) * s
+        m[:, 1, 0] = np.exp(1j * p) * s
+        m[:, 1, 1] = np.exp(1j * (p + l)) * c
+        out[u3] = m
+    rz = kind == KIND_CODE["RZ"]
+    if rz.any():
+        th = params[rz, 0]
+        m = np.zeros((len(th), 2, 2), dtype=complex)
+        m[:, 0, 0] = np.exp(-0.5j * th)
+        m[:, 1, 1] = np.exp(0.5j * th)
+        out[rz] = m
+    c1q = kind == KIND_CODE["C1Q"]
+    out[c1q] = CLIFFORD_MATS[params[c1q, 0].astype(int)]
+    return out
+
+
 def _pauli_conj_table(gates: np.ndarray, paulis: np.ndarray) -> np.ndarray:
     """table[g, p] = p' with ``G_g P_p G_g^dag = +/-P_p'``; the sign is dropped."""
     conj = gates[:, None] @ paulis @ gates.conj().transpose(0, 2, 1)[:, None]
@@ -217,14 +256,6 @@ PAULI_CONJ_CZ = np.stack([_CZ_CONJ // 4, _CZ_CONJ % 4], axis=-1)
 
 
 # --- circuit data types -------------------------------------------------------
-
-# A circuit stores each gate's kind as its index in KINDS; KIND_ARITY and
-# KIND_NPARAMS are indexed by that code.
-KINDS = tuple(GATE_ARITY)
-KIND_CODE = {k: i for i, k in enumerate(KINDS)}
-KIND_ARITY = np.array([GATE_ARITY[k] for k in KINDS])
-KIND_NPARAMS = np.array([GATE_NPARAMS[k] for k in KINDS])
-
 
 @dataclass(frozen=True, slots=True)
 class GateOp:

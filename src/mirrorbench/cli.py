@@ -316,6 +316,11 @@ def _simulate_one(payload):
 @click.option("--jobs", type=click.IntRange(min=1), default=1)
 def simulate(out_dir, fake_uniform, shots, jobs):
     """Produce shots.jsonl for every proxy circuit in the suite."""
+    # One BLAS thread per process, set before numpy loads: each --jobs worker
+    # would start its own pool, and the pools compete for the cores. A value
+    # the user set still wins.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
     from mirrorbench.sim import fake_uniform_shots
     from mirrorbench.storage import read_circuits, write_shot_tables
 

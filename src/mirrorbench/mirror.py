@@ -25,18 +25,15 @@ import numpy as np
 from mirrorbench.circuits import (
     CLIFFORD_INDEX_OF_PAULI,
     CLIFFORD_INV,
-    CLIFFORD_MATS,
     Circuit,
     ContractError,
-    GATE_ARITY,
-    GATE_NPARAMS,
     KIND_CODE,
     KINDS,
     MIRRORABLE_KINDS,
     PAULI_CONJ_C1Q,
     PAULI_CONJ_CZ,
     PAULI_MATS,
-    gate_matrix,
+    gate_matrices_1q,
     u3_params_from_matrices,
 )
 from mirrorbench.sim import derive_seed
@@ -72,9 +69,6 @@ class SamplingParams:
 
 _MIRRORABLE = np.array([k in MIRRORABLE_KINDS for k in KINDS])
 _C1Q, _U3 = KIND_CODE["C1Q"], KIND_CODE["U3"]
-# Matrix of each kind without parameters (identity for the others).
-_FIXED_1Q = np.stack([gate_matrix(k) if GATE_NPARAMS[k] == 0 and GATE_ARITY[k] == 1
-                      else np.eye(2, dtype=complex) for k in KINDS])
 
 
 def check_native(c: Circuit, mode: str):
@@ -85,31 +79,6 @@ def check_native(c: Circuit, mode: str):
             f"circuit {c.id!r} contains non-native gate {KINDS[c.kind[np.argmax(bad)]]}; "
             f"{mode} benchmarks require native circuits -- use a "
             f"full-stack benchmark (or transpile first)")
-
-
-def _matrices_1q(kind: np.ndarray, params: np.ndarray) -> np.ndarray:
-    """Stack of 2x2 matrices of 1-qubit gates, vectorized by kind."""
-    out = _FIXED_1Q[kind]
-    u3 = kind == _U3
-    if u3.any():
-        t, p, l = params[u3].T
-        c, s = np.cos(t / 2), np.sin(t / 2)
-        m = np.empty((len(t), 2, 2), dtype=complex)
-        m[:, 0, 0] = c
-        m[:, 0, 1] = -np.exp(1j * l) * s
-        m[:, 1, 0] = np.exp(1j * p) * s
-        m[:, 1, 1] = np.exp(1j * (p + l)) * c
-        out[u3] = m
-    rz = kind == KIND_CODE["RZ"]
-    if rz.any():
-        th = params[rz, 0]
-        m = np.zeros((len(th), 2, 2), dtype=complex)
-        m[:, 0, 0] = np.exp(-0.5j * th)
-        m[:, 1, 1] = np.exp(0.5j * th)
-        out[rz] = m
-    c1q = kind == _C1Q
-    out[c1q] = CLIFFORD_MATS[params[c1q, 0].astype(int)]
-    return out
 
 
 def _rc_layers(c: Circuit, labels: np.ndarray, rng, invert: bool) -> tuple:
@@ -142,7 +111,7 @@ def _rc_layers(c: Circuit, labels: np.ndarray, rng, invert: bool) -> tuple:
             before[mid:hi] = labels[qs]
             fresh[mid:hi] = labels[qs] = rng.integers(0, 4, size=hi - mid)
         lo = hi
-    mats = _matrices_1q(c.kind[order][one_q], c.params[order][one_q])
+    mats = gate_matrices_1q(c.kind[order][one_q], c.params[order][one_q])
     if invert:
         mats = mats.conj().transpose(0, 2, 1)
     merged = PAULI_MATS[fresh[one_q]] @ mats @ PAULI_MATS[before[one_q]]

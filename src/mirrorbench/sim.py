@@ -19,7 +19,10 @@ Shot sampling draws every error before it evolves any state, in a fixed
 order, groups the shots by error history and evolves each distinct history
 once: the error-free trunk from the start, every other trajectory from a copy
 of the trunk made at its first error. Its memory is at most one state per
-shot plus the trunk, ``(shots + 1) 2^n`` amplitudes (see ``sample_shots``).
+shot plus the trunk, ``(shots + 1) 2^n`` amplitudes. The evolution is fused:
+each qubit's 1q steps become one pending 2x2 product, the products of a block
+of four qubits reach the states as one 16x16 matmul, and a layer's errors go
+in at the layer's end, which is exact (see ``sample_shots``).
 
 The density-matrix oracles turn each step into one superoperator, fuse each
 qubit's 1q superoperators together and into the next 2q gate on it, and so
@@ -48,7 +51,9 @@ from mirrorbench.circuits import (
     Circuit,
     ContractError,
     PAULI_MATS,
+    KIND_CODE,
     apply_gate,
+    gate_matrices_1q,
     gate_matrix,
     unitary_of,
 )
@@ -69,7 +74,7 @@ __all__ = [
     "derive_seed",
 ]
 
-_X = PAULI_MATS[1]
+_I2, _X = PAULI_MATS[:2]
 
 
 @dataclass
@@ -124,32 +129,38 @@ def _index_to_bitstring(x: int, n: int) -> str:
 
 
 def _noisy_program(c: Circuit, nm: NoiseModel):
-    """Yield the circuit as the noisy device runs it, as ``(matrix, qubits,
-    lam)`` steps in time order.
+    """Yield the circuit as the noisy device runs it: one list of ``(matrix,
+    qubits, lam)`` steps per layer, in time order.
 
     Each gate's matrix has its over-rotation folded in and ``lam`` is the
-    depolarizing strength that follows it; after each layer, every qubit the
-    layer leaves idle gets an ``RZ(theta_idle)`` step with ``lam = 0``.
+    depolarizing strength that follows it; after the layer's gates, every
+    qubit the layer leaves idle gets an ``RZ(theta_idle)`` step with
+    ``lam = 0``. The 1q matrices of the whole circuit are built in one call.
     """
+    one_q = c.qubits[:, 1] < 0
+    mats = gate_matrices_1q(c.kind[one_q], c.params[one_q])
+    for kind, theta in nm.theta_over.items():
+        if theta:
+            rot = math.cos(theta / 2) * np.eye(2) - 1j * math.sin(theta / 2) * _X
+            sel = c.kind[one_q] == KIND_CODE[kind]
+            mats[sel] = rot @ mats[sel]
+    mats = iter(mats)
     idle = gate_matrix("RZ", (nm.theta_idle,)) if nm.theta_idle else None
     for layer in c.rows():
-        for kind, params, qubits in layer:
-            g = gate_matrix(kind, params)
-            theta = nm.theta_over.get(kind, 0.0)
-            if theta:
-                g = (math.cos(theta / 2) * np.eye(2) - 1j * math.sin(theta / 2) * _X) @ g
-            yield g, qubits, nm.lam_1q if len(qubits) == 1 else nm.lam_2q
+        steps = [(next(mats), qubits, nm.lam_1q) if len(qubits) == 1
+                 else (gate_matrix(kind, params), qubits, nm.lam_2q)
+                 for kind, params, qubits in layer]
         if idle is not None:
             busy = {q for _, _, qubits in layer for q in qubits}
-            for q in range(c.n):
-                if q not in busy:
-                    yield idle, (q,), 0.0
+            steps += [(idle, (q,), 0.0) for q in range(c.n) if q not in busy]
+        yield steps
 
 
 def _evolve_pure(psi: np.ndarray, c: Circuit, nm: NoiseModel) -> np.ndarray:
     """Apply the program's unitary steps (depolarizing ignored) to ``psi``."""
-    for g, qubits, _ in _noisy_program(c, nm):
-        psi = apply_gate(g, psi, qubits, c.n)
+    for layer in _noisy_program(c, nm):
+        for g, qubits, _ in layer:
+            psi = apply_gate(g, psi, qubits, c.n)
     return psi
 
 
@@ -196,9 +207,17 @@ def sample_shots(c: Circuit, nm: NoiseModel, shots: int, seed: int,
 
     Shots are then grouped by error history, and each distinct history is
     evolved once: the error-free trunk from the start, every other trajectory
-    from a copy of the trunk made at its first error. Memory is one state of
-    ``2^n`` amplitudes per distinct history plus the trunk, so at most
-    ``(shots + 1) 2^n``.
+    from a copy of the trunk made where its first error goes in. Memory is
+    one state of ``2^n`` amplitudes per distinct history plus the trunk, so at
+    most ``(shots + 1) 2^n``.
+
+    Each qubit's 1q steps (gates, over-rotations, idle rotations) are
+    multiplied into one pending 2x2 product, and a block of
+    ``_BLOCK_QUBITS`` consecutive qubits flushes its products together (see
+    ``_flush_blocks``): before a 2q gate on the block, before an error on it,
+    and at the end. A layer's errors go in after the whole layer. That is
+    exact: the layer's gates act on disjoint qubits, so each inserted Pauli
+    commutes with the rest of the layer.
     """
     if shots <= 0:
         raise ContractError("shots must be positive")
@@ -206,7 +225,8 @@ def sample_shots(c: Circuit, nm: NoiseModel, shots: int, seed: int,
         raise CapacityError(f"n={c.n} exceeds trajectory limit {max_n}")
     rng = derive_seed(seed, c.id)
     n = c.n
-    program = list(_noisy_program(c, nm))
+    layers = list(_noisy_program(c, nm))
+    program = [step for layer in layers for step in layer]
     hit_shots, hit_codes = [], []
     for s, (_, qubits, lam) in enumerate(program):
         if lam > 0:
@@ -232,35 +252,45 @@ def sample_shots(c: Circuit, nm: NoiseModel, shots: int, seed: int,
     sign = np.ones(1, dtype=np.int8)
     for _ in range(n):
         sign = np.concatenate([sign, -sign])  # (-1)^(number of set bits)
-    active = 1
-    for s, (g, qubits, _) in enumerate(program):
-        _apply_to_prefix(g, buf, active, tuple(q + 1 for q in qubits))
-        if s in blocks:
-            in_use, paulis = blocks[s]
-            buf[active:in_use] = buf[0]
-            active = in_use
-            for rows, x, z, phase in paulis:
+    active, end = 1, 0
+    pending: dict[int, np.ndarray] = {}  # qubit -> its 1q product not yet applied
+    for layer in layers:
+        for g, qubits, _ in layer:
+            if len(qubits) == 1:
+                q = qubits[0]
+                pending[q] = g @ pending[q] if q in pending else g
+            else:
+                _flush_blocks(pending, qubits, buf, active)
+                _apply_to_prefix(g, buf, active, tuple(q + 1 for q in qubits))
+        steps = [t for t in range(end, end + len(layer)) if t in blocks]
+        end += len(layer)
+        if not steps:
+            continue
+        _flush_blocks(pending, [q for t in steps for q in program[t][1]], buf, active)
+        buf[active:blocks[steps[-1]][0]] = buf[0]
+        active = blocks[steps[-1]][0]
+        for t in steps:
+            for rows, x, z, phase in blocks[t][1]:
                 # Y = iXZ, so the Pauli with masks (x, z) maps |b> to
                 # i^|x & z| (-1)^|b & z| |b ^ x|.
                 perm = basis ^ x
                 v = flat[rows][:, perm]
                 v *= phase * sign[perm & z]
                 flat[rows] = v
+    _flush_blocks(pending, range(n), buf, active)
 
     cum = np.cumsum(np.abs(flat) ** 2, axis=1)
     # Compare with u times the trajectory's total, not a normalized row, so
     # that rounding cannot push an index past the last outcome with nonzero
     # weight.
     outcomes = (cum[slot] < (u * cum[slot, -1])[:, None]).sum(axis=1)
-    bits = ((outcomes[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
     if flips is not None:
-        bits ^= flips
-    counts: dict[str, int] = {}
-    chars = (bits + ord("0")).astype(np.uint8)
-    for row in chars:
-        s = row.tobytes().decode()
-        counts[s] = counts.get(s, 0) + 1
-    return ShotTable(c.id, counts, n)
+        outcomes ^= flips @ (1 << np.arange(n - 1, -1, -1))
+    # Keys in the order of their first shot, as a per-shot tally makes them.
+    codes, first, num = np.unique(outcomes, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return ShotTable(c.id, {_index_to_bitstring(x, n): k for x, k in
+                            zip(codes[order].tolist(), num[order].tolist())}, n)
 
 
 # An error event is coded as ``_EVENTS_PER_STEP * step + pauli``, where the
@@ -327,21 +357,44 @@ def _event_blocks(histories: np.ndarray, program, n: int) -> dict:
 # Gates are applied to the trajectory buffer this many amplitudes at a time,
 # so that the kernels' temporaries stay small and in cache.
 _BLOCK_AMPLITUDES = 1 << 16
+# The sampler's fixed blocks of consecutive qubits (see ``_flush_blocks``).
+_BLOCK_QUBITS = 4
+
+
+def _flush_blocks(pending: dict, qubits, buf: np.ndarray, active: int) -> None:
+    """Apply the pending 1q products of each block holding one of ``qubits``
+    to the first ``active`` states of ``buf``: three or more of a block's w
+    qubits as one ``2^w x 2^w`` Kronecker product, fewer one at a time."""
+    n = buf.ndim - 1
+    for lo in sorted({q - q % _BLOCK_QUBITS for q in qubits}):
+        block = range(lo, min(lo + _BLOCK_QUBITS, n))
+        mats = [pending.pop(q, None) for q in block]
+        if sum(m is not None for m in mats) >= 3:
+            g = np.ones((1, 1))
+            for m in (_I2 if m is None else m for m in mats):  # np.kron, without its overhead
+                g = (g[:, None, :, None] * m[None, :, None, :]).reshape(2 * len(g), -1)
+            _apply_to_prefix(g, buf, active, tuple(q + 1 for q in block))
+            continue
+        for q, m in zip(block, mats):
+            if m is not None:
+                _apply_to_prefix(m, buf, active, (q + 1,))
 
 
 def _apply_to_prefix(g: np.ndarray, buf: np.ndarray, active: int, axes) -> None:
-    """Apply a 1- or 2-qubit gate in place to the first ``active`` states of
-    ``buf``, whose batch axis comes first (qubit q is axis q + 1)."""
-    diagonal = len(axes) == 2 and not np.count_nonzero(g - np.diag(np.diagonal(g)))
-    block = max(1, _BLOCK_AMPLITUDES >> (buf.ndim - 1))
-    for lo in range(0, active, block):
-        live = buf[lo:min(lo + block, active)]
-        if len(axes) == 1:
-            # As (before, qubit, after) blocks, the copies below run over
+    """Apply a gate in place to the first ``active`` states of ``buf``, whose
+    batch axis comes first (qubit q is axis q + 1). ``g`` acts on two qubits,
+    or on the consecutive ``axes`` of one qubit or of a block of them."""
+    two_qubit = len(axes) == 2
+    diagonal = two_qubit and not np.count_nonzero(g - np.diag(np.diagonal(g)))
+    chunk = max(1, _BLOCK_AMPLITUDES >> (buf.ndim - 1))
+    for lo in range(0, active, chunk):
+        live = buf[lo:min(lo + chunk, active)]
+        if not two_qubit:
+            # As (before, axes, after) blocks, the copies below run over
             # contiguous rows rather than over axes of length 2.
-            v = live.reshape(len(live) << (axes[0] - 1), 2, -1)
-            out = g @ v.transpose(1, 0, 2).reshape(2, -1)
-            v[...] = out.reshape(2, len(v), -1).transpose(1, 0, 2)
+            v = live.reshape(len(live) << (axes[0] - 1), len(g), -1)
+            out = g @ v.transpose(1, 0, 2).reshape(len(g), -1)
+            v[...] = out.reshape(len(g), len(v), -1).transpose(1, 0, 2)
         elif diagonal:  # CZ, CP: one multiply
             a, b = axes
             shape = [1] * live.ndim
@@ -379,7 +432,7 @@ def _evolve_channel(rho: np.ndarray, c: Circuit, nm: NoiseModel, n: int) -> np.n
     end, one per qubit still pending.
     """
     pending: dict[int, np.ndarray] = {}
-    for g, qubits, lam in _noisy_program(c, nm):
+    for g, qubits, lam in (step for layer in _noisy_program(c, nm) for step in layer):
         d = len(g)
         s = np.kron(g, g.conj())
         if lam > 0:

@@ -74,6 +74,34 @@ def test_later_stages_skip_generate_modules(experiment, args):
     assert loaded == []
 
 
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# The real entry point, reporting the BLAS variables and the process's OS
+# threads (a BLAS pool starts its threads when numpy loads) once the stage ran.
+THREADS_ENTRY = """import json, os, sys
+from mirrorbench.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit as e:
+    code = e.code
+tasks = "/proc/self/task"
+threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else None
+print(json.dumps([code, {v: os.environ.get(v) for v in %r}, threads]), file=sys.stderr)
+""" % (BLAS_VARS,)
+
+
+@pytest.mark.parametrize("user", [{}, {"OPENBLAS_NUM_THREADS": "2"}], ids=["unset", "user-set"])
+def test_simulate_runs_with_one_blas_thread_unless_user_sets_it(experiment, user):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", THREADS_ENTRY, "simulate", "--out", experiment],
+                          env={**env, **user}, capture_output=True, text=True, timeout=120)
+    code, seen, threads = json.loads(proc.stderr.splitlines()[-1])
+    assert code in (0, None), proc.stderr
+    assert seen == {v: user.get(v, "1") for v in BLAS_VARS}
+    if not user:
+        assert threads in (None, 1)
+
+
 def test_public_names_resolve_to_their_defining_objects():
     # A loaded submodule does not shadow the public function of its name.
     importlib.import_module("mirrorbench.transpile")

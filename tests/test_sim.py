@@ -1,7 +1,9 @@
+import hashlib
+import json
 import math
 from collections import Counter
 from functools import reduce
-from itertools import product
+from itertools import chain, product
 from unittest import mock
 
 import numpy as np
@@ -19,6 +21,7 @@ from mirrorbench.circuits import (
     GATE_ARITY,
     GATE_NPARAMS,
     GateOp,
+    ONE_QUBIT_KINDS,
     apply_gate,
     equal_up_to_phase,
     gate_matrix,
@@ -177,7 +180,7 @@ def per_shot_reference(c, nm, shots, seed):
     n = c.n
     states = np.zeros((2,) * n + (shots,), dtype=complex)
     states[(0,) * n + (slice(None),)] = 1.0
-    for g, qubits, lam in sim._noisy_program(c, nm):
+    for g, qubits, lam in chain.from_iterable(sim._noisy_program(c, nm)):
         states = apply_gate(g, states, qubits, n)
         if lam > 0:
             k = len(qubits)
@@ -216,21 +219,81 @@ class TestExactStream:
         "noiseless": NoiseModel.noiseless(),
     }
 
+    @staticmethod
+    def straddling_circuit():
+        """Every 2q gate crosses a boundary of the sampler's blocks of
+        ``sim._BLOCK_QUBITS`` qubits, or spans a whole block, in both qubit
+        orders; every other qubit gets a U3 in each layer, so each block has
+        products pending when a 2q gate reaches it."""
+        n, rng = 11, np.random.default_rng(5)
+        layers = []
+        for kind, a, b in [("CX", 4, 3), ("CX", 3, 4), ("SWAP", 7, 4), ("SWAP", 8, 7),
+                           ("CP", 0, 8), ("CP", 10, 3)]:
+            gate = GateOp(kind, (float(rng.uniform(-7, 7)),) * GATE_NPARAMS[kind], (a, b))
+            u3 = [GateOp("U3", tuple(rng.uniform(-7, 7, 3)), (q,))
+                  for q in range(n) if q not in (a, b)]
+            layers.append((*u3[:len(u3) // 2], gate, *u3[len(u3) // 2:]))
+        return Circuit(n, layers, "straddling")
+
     @pytest.mark.parametrize("noise", sorted(NOISE))
     def test_counts_match_per_shot_sampler(self, noise):
         nm = self.NOISE[noise]
         rng = np.random.default_rng(21)
         circuits = [Circuit(3, (), "empty")]
         # At n = 8 with 300 shots the strong models give more trajectories
-        # than one block of sim._BLOCK_AMPLITUDES holds.
-        for n in (1, 2, 3, 4, 5, 8):
+        # than one block of sim._BLOCK_AMPLITUDES holds; n = 11 has three
+        # blocks of sim._BLOCK_QUBITS, the last of three qubits.
+        for n in (1, 2, 3, 4, 5, 8, 11):
             c = random_circuit(rng, n, 4 * n + 2, kinds=GATE_ARITY)
             circuits.append(Circuit(n, c.layers, f"all-kinds-{n}"))  # the id seeds the stream
+        circuits.append(self.straddling_circuit())
         for i, c in enumerate(circuits):
             for shots in (1, 300):
                 seed = 100 * i + shots
                 assert sample_shots(c, nm, shots, seed).counts == \
                     per_shot_reference(c, nm, shots, seed), (c.n, shots)
+
+
+class TestGoldenShots:
+    def test_golden_brickwork_shots(self):
+        # Pins every count and key order of the sampler on the proxies of an
+        # n = 8 brickwork suite under the lowlevel_dense noise: a change to
+        # the draws, or a reordering of the floating-point products that
+        # moves a shot across an outcome boundary, fails here.
+        from mirrorbench.algos import brickwork_u3_cz
+        from mirrorbench.mirror import SamplingParams, build_suite
+        nm = NoiseModel(lam_1q=0.001, lam_2q=0.01, eps_ro=0.02, theta_idle=0.02)
+        h = hashlib.sha256()
+        suite = build_suite(brickwork_u3_cz(8, 12, 7), SamplingParams(3, 3, 3, 7))
+        for i, mc in enumerate(suite):
+            t = sample_shots(mc.circuit, nm, 1000, i)
+            h.update(json.dumps([t.circuit_id, list(t.counts.items())]).encode())
+        assert h.hexdigest() == \
+            "13e87b2404f8a5a987c929149fc43fef34794cc10b5a04393fb9c30bea1e8cdf"
+
+
+class TestNoisyProgram:
+    def test_1q_matrices_equal_gate_matrix_bit_for_bit(self):
+        # The program builds every 1q matrix in one vectorized call; it must
+        # give gate_matrix's matrices, over-rotation folded in as before, so
+        # that no seeded output moves.
+        rng = np.random.default_rng(3)
+        nm = NoiseModel(theta_over={"X": 0.3, "SX": -0.7})
+        ops = []
+        for kind in sorted(ONE_QUBIT_KINDS) * 400:
+            params = ((float(rng.integers(24)),) if kind == "C1Q"
+                      else tuple(float(x) for x in rng.uniform(-7, 7, GATE_NPARAMS[kind])))
+            ops.append(GateOp(kind, params, (0,)))
+        c = Circuit(1, [(op,) for op in ops])
+        steps = list(chain.from_iterable(sim._noisy_program(c, nm)))
+        assert len(steps) == len(ops)
+        for op, (g, _, _) in zip(ops, steps):
+            want = gate_matrix(op.kind, op.params)
+            theta = nm.theta_over.get(op.kind)
+            if theta:
+                rot = math.cos(theta / 2) * np.eye(2) - 1j * math.sin(theta / 2) * PAULI_MATS[1]
+                want = rot @ want
+            assert np.array_equal(g, want), op
 
 
 class TestStepConsumersAgree:
@@ -414,7 +477,7 @@ def kraus_enumeration_fidelity(c, nm):
 def reference_evolve_channel(rho, c, nm, n):
     """The density evolution ``sim._evolve_channel`` replaced: each step
     conjugates the gate's row and column axes in turn, then depolarizes."""
-    for g, qubits, lam in sim._noisy_program(c, nm):
+    for g, qubits, lam in chain.from_iterable(sim._noisy_program(c, nm)):
         rho = apply_gate(g, rho, qubits, 2 * n)
         rho = apply_gate(g.conj(), rho, tuple(n + q for q in qubits), 2 * n)
         if lam > 0:
