@@ -27,13 +27,13 @@ _EXPORTS = {
     ),
     "sim": (
         "OutcomeDistribution",
-        "ShotTable",
         "exact_process_fidelity",
         "ideal_distribution",
         "noisy_distribution",
         "process_fidelity_unitaries",
         "sample_shots",
     ),
+    "shots": ("ShotTable",),
     "mirror": ("MirrorCircuit", "SamplingParams", "build_suite"),
     "transpile": ("TranspileConfig", "transpile"),
     "algos": (

@@ -23,7 +23,7 @@ from mirrorbench.core import (
     render_volumetric_svg,
     volumetric_summary,
 )
-from mirrorbench.sim import OutcomeDistribution, ShotTable, derive_seed
+from mirrorbench.shots import ShotTable, derive_seed
 
 __all__ = [
     "PolarizationEstimate",
@@ -75,34 +75,20 @@ class EffectiveErrorRate:
 # --- polarization and the ratio estimator -------------------------------------------
 
 
-def _hamming_profile(t: ShotTable, target: str) -> np.ndarray:
-    """h_k = fraction of shots at Hamming distance k from the target."""
-    n = len(target)
-    h = np.zeros(n + 1)
-    total = 0
-    tgt = np.frombuffer(target.encode(), dtype=np.uint8)
-    for bits, cnt in t.counts.items():
-        arr = np.frombuffer(bits.encode(), dtype=np.uint8)
-        k = int(np.count_nonzero(arr != tgt))
-        h[k] += cnt
-        total += cnt
-    return h / total
-
-
 def effective_polarization(t: ShotTable, target: str) -> PolarizationEstimate:
     """S = (4^n sum_k (-1/2)^k h_k - 1) / (4^n - 1), overflow-safe for any n."""
-    if not t.counts:
+    if not len(t.tally):
         raise ContractError("empty shot table")
     n = len(target)
     if t.width != n:
         raise ContractError(f"target length {n} != shot width {t.width}")
-    h = _hamming_profile(t, target)
+    h = t.hamming_profile(target)
     a = float(h @ (-0.5) ** np.arange(n + 1))
     # S = (4^n a - 1)/(4^n - 1) computed as (a - 4^-n)/(1 - 4^-n); the
     # 4.0**-n factor underflows to 0 for huge n instead of overflowing.
     q = 4.0 ** -n
     s = (a - q) / (1.0 - q)
-    return PolarizationEstimate(t.circuit_id, s, sum(t.counts.values()))
+    return PolarizationEstimate(t.circuit_id, s, t.shots)
 
 
 def mcfe_estimate(s1: float, s2: float, s3: float, n: int,
@@ -161,29 +147,25 @@ def bootstrap_sigma(tables: dict[str, list[tuple[ShotTable, str]]], n: int,
     given seed. NaN when fewer than two replicas give a defined estimate.
     """
     rng = derive_seed(seed, "bootstrap")
-    # Precompute per-circuit Hamming profiles once; a multinomial over the
-    # profile is equivalent to a multinomial over raw shots.
-    prof: dict[str, list[tuple[np.ndarray, int]]] = {}
-    for kind, pairs in tables.items():
-        rows = []
-        for t, tgt in pairs:
-            h = _hamming_profile(t, tgt)
-            rows.append((h, sum(t.counts.values())))
-        prof[kind] = rows
+    # A multinomial over a proxy's Hamming profile is equivalent to one over
+    # its raw shots. Each table computes its profile once, for S and here.
+    prof = {kind: (np.array([t.hamming_profile(tgt) for t, tgt in pairs]),
+                   np.array([t.shots for t, _ in pairs]))
+            for kind, pairs in tables.items()}
     q = 4.0 ** -n
     weights = (-0.5) ** np.arange(n + 1)
     fs = []
     for _ in range(B):
         means = {}
-        for kind, rows in prof.items():
-            idx = rng.integers(0, len(rows), size=len(rows))
-            ss = []
-            for i in idx:
-                h, shots = rows[i]
-                hb = rng.multinomial(shots, h) / shots
-                a = float(hb @ weights)
-                ss.append((a - q) / (1.0 - q))
-            means[kind] = float(np.mean(ss))
+        for kind, (h, shots) in prof.items():
+            idx = rng.integers(0, len(shots), size=len(shots))
+            # One call draws the chosen proxies in order, the same numbers
+            # as one call per proxy.
+            hb = rng.multinomial(shots[idx], h[idx]) / shots[idx, None]
+            # One dot product per row: a matrix-vector product sums in
+            # another order and changes the last bits.
+            a = np.array([row @ weights for row in hb])
+            means[kind] = float(np.mean((a - q) / (1.0 - q)))
         f, _, flags = mcfe_estimate(means["M1"], means["M2"], means["M3"], n)
         if "estimate-undefined" not in flags:
             fs.append(f)
@@ -196,8 +178,7 @@ def bootstrap_sigma(tables: dict[str, list[tuple[ShotTable, str]]], n: int,
 
 
 def _as_probs(p) -> np.ndarray:
-    if isinstance(p, OutcomeDistribution):
-        p = p.probs
+    p = getattr(p, "probs", p)  # an OutcomeDistribution
     if isinstance(p, dict):
         n = len(next(iter(p)))
         arr = np.zeros(1 << n)

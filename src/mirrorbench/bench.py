@@ -17,9 +17,9 @@ from mirrorbench.circuits import (
     ContractError,
     unitary_of,
 )
+from mirrorbench.manifest import Manifest
 from mirrorbench.mirror import MirrorCircuit, SamplingParams, build_suite, check_native
 from mirrorbench.sim import derive_seed, process_fidelity_unitaries
-from mirrorbench.storage import Manifest
 from mirrorbench.transpile import TranspileConfig, transpile
 
 __all__ = [

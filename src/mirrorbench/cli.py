@@ -53,9 +53,9 @@ if TYPE_CHECKING:
     from mirrorbench.algos import PauliSumHamiltonian
     from mirrorbench.bench import BenchmarkSuite
     from mirrorbench.circuits import Circuit, CouplingGraph
+    from mirrorbench.manifest import Manifest
     from mirrorbench.mirror import SamplingParams
-    from mirrorbench.sim import ShotTable
-    from mirrorbench.storage import Manifest
+    from mirrorbench.shots import ShotTable
 
 EXIT_PARTIAL = 1
 EXIT_CONFIG = 2
@@ -181,7 +181,7 @@ def _load_config(path: str) -> dict:
 
 def _experiment(out_dir: str) -> tuple[dict, Manifest]:
     """The config and manifest that ``generate`` left in an experiment directory."""
-    from mirrorbench.storage import read_manifest
+    from mirrorbench.manifest import read_manifest
 
     return (_load_config(_input(out_dir, "config.json")),
             read_manifest(_input(out_dir, "manifest.json")))
@@ -293,7 +293,7 @@ def generate(config_path: str, out_dir: str):
 
 
 def _shot_seed(master: int, circuit_id: str) -> int:
-    from mirrorbench.sim import derive_seed
+    from mirrorbench.shots import derive_seed
 
     return int(derive_seed(master, circuit_id, "shots").integers(0, 2 ** 31))
 
@@ -321,8 +321,7 @@ def simulate(out_dir, fake_uniform, shots, jobs):
     # the user set still wins.
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, "1")
-    from mirrorbench.sim import fake_uniform_shots
-    from mirrorbench.storage import read_circuits, write_shot_tables
+    from mirrorbench.shots import fake_uniform_shots, write_shot_tables
 
     t0 = time.monotonic()
     cfg, manifest = _experiment(out_dir)
@@ -337,6 +336,8 @@ def simulate(out_dir, fake_uniform, shots, jobs):
         # lists the proxies in circuits.jsonl order.
         payloads = [(r["width"], _shot_seed(master, r["id"]), r["id"]) for r in mirrors]
     else:
+        from mirrorbench.storage import read_circuits
+
         mirror_ids = {r["id"] for r in mirrors}
         with open(_input(out_dir, "circuits.jsonl"), encoding="utf-8") as fp:
             payloads = [(c, nm.to_dict(), shots, _shot_seed(master, c.id))
@@ -373,7 +374,7 @@ RESULT_COLUMNS = ["benchmark_id", "kind", "width", "depth", "shape_w", "shape_d"
 
 def _analyze_records(out_dir: str, bootstrap: int = 200) -> list[FidelityRecord]:
     from mirrorbench.analysis import estimate_benchmark
-    from mirrorbench.storage import read_shot_tables
+    from mirrorbench.shots import read_shot_tables
 
     cfg, manifest = _experiment(out_dir)
     with open(_input(out_dir, "shots.jsonl"), encoding="utf-8") as fp:
@@ -486,9 +487,6 @@ def report(out_dir):
               help="Largest width for the exact oracle.")
 def oracle(out_dir, max_n):
     """Exact process fidelities (n <= max-n) next to the estimates."""
-    from mirrorbench.sim import exact_process_fidelity
-    from mirrorbench.storage import read_circuits
-
     f_hat = {r.benchmark_id: r.F_hat for r in _read_results(out_dir)}
     cfg, manifest = _experiment(out_dir)
     nm = _noise(cfg)
@@ -496,6 +494,9 @@ def oracle(out_dir, max_n):
                   if r["kind"] == "benchmark" and r["width"] <= max_n and r["id"] in f_hat}
     out_rows = []
     if qualifying:
+        from mirrorbench.sim import exact_process_fidelity
+        from mirrorbench.storage import read_circuits
+
         with open(_input(out_dir, "circuits.jsonl"), encoding="utf-8") as fp:
             for c in read_circuits(fp):
                 if c.id not in qualifying:

@@ -36,12 +36,14 @@ the trajectories still being evolved form one contiguous block.
 
 Bitstring convention: character i is qubit i, qubit 0 leftmost (most
 significant bit of a basis-state index).
+
+``ShotTable``, ``derive_seed`` and ``fake_uniform_shots`` live in ``shots``,
+which needs no circuit code, and are re-exported here.
 """
 
 from __future__ import annotations
 
 import math
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +60,7 @@ from mirrorbench.circuits import (
     unitary_of,
 )
 from mirrorbench.core import NoiseModel
+from mirrorbench.shots import ShotTable, derive_seed, fake_uniform_shots
 
 __all__ = [
     "NoiseModel",
@@ -78,27 +81,6 @@ _I2, _X = PAULI_MATS[:2]
 
 
 @dataclass
-class ShotTable:
-    """Observed bitstring counts for one circuit."""
-
-    circuit_id: str
-    counts: dict[str, int]
-    width: int
-
-    def __post_init__(self):
-        for bs, cnt in self.counts.items():
-            if cnt <= 0:
-                raise ContractError("shot counts must be positive")
-            if len(bs) != self.width:
-                raise ContractError(
-                    f"bitstring {bs!r} length != circuit width {self.width}")
-
-    @property
-    def shots(self) -> int:
-        return sum(self.counts.values())
-
-
-@dataclass
 class OutcomeDistribution:
     """Sparse map bitstring -> probability."""
 
@@ -111,17 +93,6 @@ class OutcomeDistribution:
 
     def __getitem__(self, bs: str) -> float:
         return self.probs.get(bs, 0.0)
-
-
-def derive_seed(master_seed: int, *tags) -> np.random.Generator:
-    """Deterministic per-item RNG stream from a master seed and string/int tags."""
-    entropy = [int(master_seed)]
-    for t in tags:
-        if isinstance(t, str):
-            entropy.append(zlib.crc32(t.encode()))
-        else:
-            entropy.append(int(t))
-    return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
 def _index_to_bitstring(x: int, n: int) -> str:
@@ -286,11 +257,11 @@ def sample_shots(c: Circuit, nm: NoiseModel, shots: int, seed: int,
     outcomes = (cum[slot] < (u * cum[slot, -1])[:, None]).sum(axis=1)
     if flips is not None:
         outcomes ^= flips @ (1 << np.arange(n - 1, -1, -1))
-    # Keys in the order of their first shot, as a per-shot tally makes them.
+    # Rows in the order of their first shot, as a per-shot tally makes them.
     codes, first, num = np.unique(outcomes, return_index=True, return_counts=True)
     order = np.argsort(first)
-    return ShotTable(c.id, {_index_to_bitstring(x, n): k for x, k in
-                            zip(codes[order].tolist(), num[order].tolist())}, n)
+    bits = (codes[order, None] >> np.arange(n - 1, -1, -1)) & 1
+    return ShotTable.from_packed(c.id, np.packbits(bits, axis=1), num[order], n)
 
 
 # An error event is coded as ``_EVENTS_PER_STEP * step + pauli``, where the
@@ -403,19 +374,6 @@ def _apply_to_prefix(g: np.ndarray, buf: np.ndarray, active: int, axes) -> None:
             live *= (d if a < b else d.T).reshape(shape)
         else:
             live[...] = apply_gate(g, live, axes, live.ndim)
-
-
-def fake_uniform_shots(n: int, shots: int, seed: int, circuit_id: str = "fake") -> ShotTable:
-    """i.i.d. uniform bitstrings; O(shots * n), independent of any circuit."""
-    if shots <= 0:
-        raise ContractError("shots must be positive")
-    rng = derive_seed(seed, circuit_id)
-    bits = rng.integers(0, 2, size=(shots, n), dtype=np.uint8) + ord("0")
-    counts: dict[str, int] = {}
-    for row in bits:
-        s = row.tobytes().decode()
-        counts[s] = counts.get(s, 0) + 1
-    return ShotTable(circuit_id, counts, n)
 
 
 # --- deterministic density-matrix evolution (oracles) ------------------------------

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import pathlib
@@ -138,6 +139,55 @@ class TestPipeline:
     def test_analyze_without_shots_exits_3(self, runner, tmp_path):
         out = self._generate(runner, tmp_path)
         run_err(runner, ["analyze", "--out", out], 3)
+
+    @pytest.mark.parametrize("edit, message", [
+        # Each edits the counts of the first proxy's record.
+        (lambda counts: {"0x" + k[2:]: v for k, v in counts.items()}, "0 and 1"),
+        (lambda counts: {k: v + 0.7 for k, v in counts.items()}, "positive integers"),
+        (lambda counts: {k: True for k in counts}, "positive integers"),
+        (lambda counts: {}, "counts is empty and width is missing"),
+    ], ids=["non-binary-key", "float-count", "bool-count", "empty-without-width"])
+    def test_malformed_shots_exit_2(self, runner, tmp_path, edit, message):
+        out = self._generate(runner, tmp_path)
+        run_ok(runner, ["simulate", "--out", out])
+        path = pathlib.Path(out, "shots.jsonl")
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        records[0]["counts"] = edit(records[0]["counts"])
+        if not records[0]["counts"]:
+            del records[0]["width"]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        result = run_err(runner, ["analyze", "--out", out], 2)
+        assert result.stderr.startswith("config error: $[0]") and message in result.stderr
+        assert not os.path.exists(os.path.join(out, "results.csv"))
+
+    def test_repeated_proxy_in_shots_exits_2(self, runner, tmp_path):
+        # A second record for a proxy would silently replace the first.
+        out = self._generate(runner, tmp_path)
+        run_ok(runner, ["simulate", "--out", out])
+        path = pathlib.Path(out, "shots.jsonl")
+        first = json.loads(path.read_text().splitlines()[0])
+        first["counts"]["111"] = 999
+        with open(path, "a") as fp:
+            fp.write(json.dumps(first) + "\n")
+        result = run_err(runner, ["analyze", "--out", out], 2)
+        assert "$[12].circuit_id: duplicate circuit_id" in result.stderr
+
+    def test_golden_brickwork_outputs(self, runner, tmp_path):
+        # Pins shots.jsonl and results.csv of an n = 8 brickwork suite under
+        # the lowlevel_dense noise, as the dict-based shot tables wrote them.
+        cfg = {"benchmark_type": "low_level",
+               "inputs": {"family": {"kind": "brickwork", "n": 8, "depth": 12, "seed": 7}},
+               "sampling": {"m1": 3, "m2": 3, "m3": 3}, "shots": 1000,
+               "noise": {"lam_1q": 0.001, "lam_2q": 0.01, "eps_ro": 0.02, "theta_idle": 0.02},
+               "seed": 7}
+        out = self._generate(runner, tmp_path, cfg)
+        run_ok(runner, ["simulate", "--out", out])
+        run_ok(runner, ["analyze", "--out", out])
+        digests = {name: hashlib.sha256(pathlib.Path(out, name).read_bytes()).hexdigest()
+                   for name in ("shots.jsonl", "results.csv")}
+        assert digests == {
+            "shots.jsonl": "90c73333390671d6ebb83135d25303224e6c48cfaf3cba51de5b6063a0816298",
+            "results.csv": "267a7b34ada52570874bae10af9f5e3b583b878e9b1b9fe1e6339fcd4a8ad2b0"}
 
     def test_report_without_results_exits_3(self, runner, tmp_path):
         out = self._generate(runner, tmp_path)

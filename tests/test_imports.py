@@ -74,6 +74,20 @@ def test_later_stages_skip_generate_modules(experiment, args):
     assert loaded == []
 
 
+@pytest.mark.parametrize("args", [["analyze", "--bootstrap", "5"], ["simulate", "--fake-uniform"]],
+                         ids=lambda a: "-".join(a[:2]))
+def test_shot_stages_skip_simulator_and_circuits(experiment, args):
+    # Shot tables, their file and the manifest need neither.
+    modules = stage_modules(*args, "--out", experiment)
+    assert {"mirrorbench.sim", "mirrorbench.circuits", "mirrorbench.storage"} & modules == set()
+    assert {"mirrorbench.shots", "numpy"} <= modules
+
+
+def test_oracle_without_qualifying_benchmarks_does_not_load_numpy(experiment):
+    # No benchmark of the experiment is as narrow as --max-n.
+    assert "numpy" not in stage_modules("oracle", "--max-n", "2", "--out", experiment)
+
+
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # The real entry point, reporting the BLAS variables and the process's OS
 # threads (a BLAS pool starts its threads when numpy loads) once the stage ran.
@@ -111,7 +125,7 @@ def test_public_names_resolve_to_their_defining_objects():
 
 
 def test_moved_names_are_reexported_unchanged():
-    from mirrorbench import analysis, circuits, core, qasm, sim, storage
+    from mirrorbench import analysis, circuits, core, manifest, qasm, shots, sim, storage
 
     pairs = [(circuits, "CapacityError"), (circuits, "ContractError"),
              (storage, "SchemaError"), (storage, "open_atomic"), (qasm, "QasmError"),
@@ -119,6 +133,13 @@ def test_moved_names_are_reexported_unchanged():
              (analysis, "volumetric_summary"), (analysis, "render_volumetric_svg")]
     for module, name in pairs:
         assert getattr(module, name) is getattr(core, name), (module.__name__, name)
+        assert name in module.__all__
+    for home, module, name in [
+            (shots, sim, "ShotTable"), (shots, sim, "derive_seed"),
+            (shots, sim, "fake_uniform_shots"), (shots, storage, "read_shot_tables"),
+            (shots, storage, "write_shot_tables"), (manifest, storage, "Manifest"),
+            (manifest, storage, "read_manifest"), (manifest, storage, "write_manifest")]:
+        assert getattr(module, name) is getattr(home, name), (module.__name__, name)
         assert name in module.__all__
 
 
