@@ -84,6 +84,29 @@ def _input(out_dir: str, name: str) -> str:
     return path
 
 
+def _some(ids: list[str]) -> str:
+    """The first 20 of ``ids``, for a one-line message."""
+    return ", ".join(ids[:20]) + (" ..." if len(ids) > 20 else "")
+
+
+@contextlib.contextmanager
+def _decoding(path: str):
+    """Bytes in ``path`` that are not UTF-8 end the stage with a ConfigError
+    naming the file."""
+    try:
+        yield
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text ({e.reason})") from None
+
+
+@contextlib.contextmanager
+def _open_input(out_dir: str, name: str, **kwargs):
+    """An experiment file (see ``_input``), open as UTF-8 text."""
+    path = _input(out_dir, name)
+    with _decoding(path), open(path, encoding="utf-8", **kwargs) as fp:
+        yield fp
+
+
 # --- configuration ------------------------------------------------------------------
 
 
@@ -117,7 +140,8 @@ def _hamiltonian_from(spec: dict) -> PauliSumHamiltonian:
         return algos.max3sat(int(_require(spec, "n", "hamiltonian")),
                              int(spec.get("r", 2)), int(spec.get("seed", 0)))
     if kind == "file":
-        with open(_require(spec, "path", "hamiltonian"), encoding="utf-8") as fp:
+        path = _require(spec, "path", "hamiltonian")
+        with _decoding(path), open(path, encoding="utf-8") as fp:
             return algos.PauliSumHamiltonian.from_dict(json.load(fp))
     raise ConfigError(f"unknown hamiltonian type {kind!r}")
 
@@ -130,7 +154,7 @@ def _input_circuits(cfg: dict) -> list[Circuit]:
         from mirrorbench.qasm import parse_qasm
 
         for path in inputs["qasm_paths"]:
-            with open(path, encoding="utf-8") as fp:
+            with _decoding(path), open(path, encoding="utf-8") as fp:
                 c = parse_qasm(fp.read())
             out.append(c.with_id(os.path.splitext(os.path.basename(path))[0]))
         return out
@@ -183,8 +207,10 @@ def _experiment(out_dir: str) -> tuple[dict, Manifest]:
     """The config and manifest that ``generate`` left in an experiment directory."""
     from mirrorbench.manifest import read_manifest
 
-    return (_load_config(_input(out_dir, "config.json")),
-            read_manifest(_input(out_dir, "manifest.json")))
+    cfg = _load_config(_input(out_dir, "config.json"))
+    path = _input(out_dir, "manifest.json")
+    with _decoding(path):
+        return cfg, read_manifest(path)
 
 
 def _sampling_from(cfg: dict) -> SamplingParams:
@@ -202,6 +228,20 @@ def _noise(cfg: dict) -> NoiseModel:
         raise ConfigError(f"bad noise ({e})") from None
 
 
+@contextlib.contextmanager
+def _config_values():
+    """A bad config value, or an input file it names that cannot be read,
+    raised inside is a ConfigError."""
+    try:
+        yield
+    except KeyError as e:
+        raise ConfigError(f"missing key {e}") from None
+    except (AttributeError, TypeError, ValueError) as e:
+        raise ConfigError(f"bad value ({e})") from None
+    except OSError as e:
+        raise ConfigError(f"cannot read input file: {e}") from None
+
+
 def _build(cfg: dict) -> BenchmarkSuite:
     """The suite a config describes; every bad value in it is a ConfigError."""
     from mirrorbench.bench import (
@@ -212,7 +252,7 @@ def _build(cfg: dict) -> BenchmarkSuite:
     )
     from mirrorbench.transpile import TranspileConfig
 
-    try:
+    with _config_values():
         circuits = _input_circuits(cfg)
         params = _sampling_from(cfg)
         shots = int(cfg.get("shots", 1000))
@@ -235,12 +275,6 @@ def _build(cfg: dict) -> BenchmarkSuite:
         shapes = ShapeSpec(tuple(tuple(s) for s in shapes_cfg["shapes"]),
                            int(shapes_cfg.get("samples_per_shape", 30)))
         return build_subcircuit(circuits, shapes, params, shots)
-    except KeyError as e:
-        raise ConfigError(f"missing key {e}") from None
-    except (AttributeError, TypeError, ValueError) as e:
-        raise ConfigError(f"bad value ({e})") from None
-    except OSError as e:
-        raise ConfigError(f"cannot read input file: {e}") from None
 
 
 # --- commands ------------------------------------------------------------------------
@@ -301,9 +335,9 @@ def _shot_seed(master: int, circuit_id: str) -> int:
 def _simulate_one(payload):
     from mirrorbench.sim import sample_shots
 
-    c, nm_dict, shots, seed = payload
+    c, nm, shots, seed = payload
     try:
-        return sample_shots(c, NoiseModel.from_dict(nm_dict), shots, seed), None
+        return sample_shots(c, nm, shots, seed), None
     except CapacityError as e:
         return None, f"{c.id}: {e}"
 
@@ -312,9 +346,8 @@ def _simulate_one(payload):
 @click.option("--out", "out_dir", required=True, type=click.Path(exists=True))
 @click.option("--fake-uniform", is_flag=True,
               help="Emit uniform random shot tables instead of simulating.")
-@click.option("--shots", type=click.IntRange(min=1), default=None)
 @click.option("--jobs", type=click.IntRange(min=1), default=1)
-def simulate(out_dir, fake_uniform, shots, jobs):
+def simulate(out_dir, fake_uniform, jobs):
     """Produce shots.jsonl for every proxy circuit in the suite."""
     # One BLAS thread per process, set before numpy loads: each --jobs worker
     # would start its own pool, and the pools compete for the cores. A value
@@ -326,8 +359,7 @@ def simulate(out_dir, fake_uniform, shots, jobs):
     t0 = time.monotonic()
     cfg, manifest = _experiment(out_dir)
     nm = _noise(cfg)
-    if shots is None:
-        shots = int(manifest.sampling.get("shots", 1000))
+    shots = manifest.sampling["shots"]
     master = int(cfg["seed"])
     mirrors = manifest.mirror_records()
 
@@ -339,9 +371,14 @@ def simulate(out_dir, fake_uniform, shots, jobs):
         from mirrorbench.storage import read_circuits
 
         mirror_ids = {r["id"] for r in mirrors}
-        with open(_input(out_dir, "circuits.jsonl"), encoding="utf-8") as fp:
-            payloads = [(c, nm.to_dict(), shots, _shot_seed(master, c.id))
+        with _open_input(out_dir, "circuits.jsonl") as fp:
+            payloads = [(c, nm, shots, _shot_seed(master, c.id))
                         for c in read_circuits(fp) if c.id in mirror_ids]
+        found = {c.id for c, *_ in payloads}
+        missing = [r["id"] for r in mirrors if r["id"] not in found]
+        if missing:
+            raise MissingDataError(f"circuits.jsonl lacks {len(missing)} of the manifest's "
+                                   f"proxies: {_some(missing)} (run generate)")
 
     failures = []
     with contextlib.ExitStack() as stack:
@@ -377,14 +414,13 @@ def _analyze_records(out_dir: str, bootstrap: int = 200) -> list[FidelityRecord]
     from mirrorbench.shots import read_shot_tables
 
     cfg, manifest = _experiment(out_dir)
-    with open(_input(out_dir, "shots.jsonl"), encoding="utf-8") as fp:
+    with _open_input(out_dir, "shots.jsonl") as fp:
         tables = {t.circuit_id: t for t in read_shot_tables(fp)}
     benchmarks = [r for r in manifest.records if r["kind"] == "benchmark"]
     mirrors = manifest.mirror_records()
     missing = [r["id"] for r in mirrors if r["id"] not in tables]
     if missing:
-        raise MissingDataError("no shots for " + ", ".join(missing[:20]) +
-                               (" ..." if len(missing) > 20 else ""))
+        raise MissingDataError(f"no shots for {_some(missing)}")
     records = []
     for b in benchmarks:
         by_kind: dict[str, list[tuple[ShotTable, str]]] = {"M1": [], "M2": [], "M3": []}
@@ -433,15 +469,14 @@ def _record_from(row: dict) -> FidelityRecord:
 
 def _read_results(out_dir: str) -> list[FidelityRecord]:
     """The records ``analyze`` wrote; a malformed results.csv is a ConfigError."""
-    path = _input(out_dir, "results.csv")
-    with open(path, encoding="utf-8", newline="") as fp:
+    with _open_input(out_dir, "results.csv", newline="") as fp:
         rows = list(csv.DictReader(fp))
     try:
         return [_record_from(row) for row in rows]
     except KeyError as e:
-        raise ConfigError(f"{path}: missing column {e}") from None
+        raise ConfigError(f"{fp.name}: missing column {e}") from None
     except (AttributeError, TypeError, ValueError) as e:
-        raise ConfigError(f"{path}: bad value ({e})") from None
+        raise ConfigError(f"{fp.name}: bad value ({e})") from None
 
 
 @main.command()
@@ -459,9 +494,10 @@ def report(out_dir):
         from mirrorbench import algos
         from mirrorbench.storage import read_circuits
 
-        h = _hamiltonian_from(family["hamiltonian"])
+        with _config_values():
+            h = _hamiltonian_from(family["hamiltonian"])
         lines += ["", "trotter fidelities (algorithmic / noise / full):"]
-        with open(_input(out_dir, "circuits.jsonl"), encoding="utf-8") as fp:
+        with _open_input(out_dir, "circuits.jsonl") as fp:
             meta_by_id = {}
             for c in read_circuits(fp):
                 if "trotter" in c.meta:
@@ -497,7 +533,7 @@ def oracle(out_dir, max_n):
         from mirrorbench.sim import exact_process_fidelity
         from mirrorbench.storage import read_circuits
 
-        with open(_input(out_dir, "circuits.jsonl"), encoding="utf-8") as fp:
+        with _open_input(out_dir, "circuits.jsonl") as fp:
             for c in read_circuits(fp):
                 if c.id not in qualifying:
                     continue

@@ -104,6 +104,13 @@ class TestGenerate:
                                       "--out", str(tmp_path / "x")])
         assert result.exit_code == 2
 
+    def test_qasm_not_utf8_exits_2(self, runner, tmp_path):
+        qasm = tmp_path / "c.qasm"
+        qasm.write_bytes(b'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nx q[0];\n// \xff\n')
+        cfg = write_config(tmp_path, dict(BRICK_CONFIG, inputs={"qasm_paths": [str(qasm)]}))
+        result = run_err(runner, ["generate", "--config", cfg, "--out", str(tmp_path / "x")], 2)
+        assert "c.qasm: not UTF-8 text" in result.stderr
+
 
 class TestPipeline:
     def _generate(self, runner, tmp_path, cfg=BRICK_CONFIG):
@@ -121,7 +128,7 @@ class TestPipeline:
         assert abs(float(rows[0]["F_hat"]) - 1.0) < 0.05
 
     @pytest.mark.parametrize("args", [
-        ["simulate", "--shots", "0"], ["simulate", "--shots", "-5"],
+        ["simulate", "--shots", "500"],  # shots come only from the manifest
         ["simulate", "--jobs", "0"], ["analyze", "--bootstrap", "0"],
         ["analyze", "--bootstrap", "1"], ["oracle", "--max-n", "0"]])
     def test_simulate_non_positive_count_exits_2(self, runner, tmp_path, args):
@@ -133,7 +140,9 @@ class TestPipeline:
         out = self._generate(runner, tmp_path)
         for earlier in list(stages)[:list(stages).index(stage)]:
             run_ok(runner, [earlier, "--out", out])
-        run_err(runner, [stage, "--out", out, *opts], 2)
+        result = run_err(runner, [stage, "--out", out, *opts], 2)
+        assert result.stderr.startswith("usage error: ")
+        assert ("No such option" in result.stderr) == (opts[0] == "--shots")
         assert not os.path.exists(os.path.join(out, stages[stage]))
 
     def test_analyze_without_shots_exits_3(self, runner, tmp_path):
@@ -266,7 +275,31 @@ class TestPipeline:
         # Noise and seed come only from the experiment's config.json.
         result = run_ok(runner, ["simulate", "--help"])
         assert re.findall(r"^  (--[\w-]+)", result.output, re.M) == \
-            ["--out", "--fake-uniform", "--shots", "--jobs", "--help"]
+            ["--out", "--fake-uniform", "--jobs", "--help"]
+
+    def test_simulate_with_proxy_missing_from_circuits_exits_3(self, runner, tmp_path):
+        # Shots for the other proxies would only move the failure to analyze.
+        out = self._generate(runner, tmp_path)
+        path = pathlib.Path(out, "circuits.jsonl")
+        lines = path.read_text().splitlines(keepends=True)
+        dropped = [json.loads(line)["id"] for line in lines[3:5]]
+        path.write_text("".join(lines[:3] + lines[5:]))
+        result = run_err(runner, ["simulate", "--out", out], 3)
+        assert all(cid in result.stderr for cid in dropped)
+        assert result.stderr.rstrip().endswith("(run generate)")
+        assert not os.path.exists(os.path.join(out, "shots.jsonl"))
+
+    @pytest.mark.parametrize("name, stage", [
+        ("shots.jsonl", "analyze"), ("manifest.json", "analyze"),
+        ("circuits.jsonl", "simulate"), ("results.csv", "report")])
+    def test_input_not_utf8_exits_2(self, runner, tmp_path, name, stage):
+        out = self._generate(runner, tmp_path)
+        run_ok(runner, ["simulate", "--out", out])
+        run_ok(runner, ["analyze", "--out", out, "--bootstrap", "5"])
+        with open(os.path.join(out, name), "ab") as fp:
+            fp.write(b"\xff\xfe\n")
+        result = run_err(runner, [stage, "--out", out], 2)
+        assert f"{name}: not UTF-8 text" in result.stderr
 
     def test_analyze_deterministic(self, runner, tmp_path):
         out = self._generate(runner, tmp_path)
@@ -356,6 +389,23 @@ class TestTrotterReport:
         assert "F_alg=" in summary and "F_noise=" in summary \
             and "F_full=" in summary
         assert "F_alg=1.000000" in summary  # diagonal Hamiltonian is exact
+
+    def test_report_with_moved_hamiltonian_file_exits_2(self, runner, tmp_path):
+        from mirrorbench import algos
+
+        ham = tmp_path / "ham.json"
+        ham.write_text(json.dumps(algos.tfim(3).to_dict()))
+        cfg = {"benchmark_type": "low_level", "compile_to_native": True,
+               "inputs": {"family": {"kind": "trotter",
+                                     "hamiltonian": {"type": "file", "path": str(ham)}}},
+               "sampling": {"m1": 1, "m2": 1, "m3": 1}, "shots": 20, "seed": 1}
+        out = str(tmp_path / "exp")
+        run_ok(runner, ["generate", "--config", write_config(tmp_path, cfg), "--out", out])
+        run_ok(runner, ["simulate", "--out", out])
+        run_ok(runner, ["analyze", "--out", out, "--bootstrap", "5"])
+        ham.rename(tmp_path / "moved.json")
+        result = run_err(runner, ["report", "--out", out], 2)
+        assert "ham.json" in result.stderr
 
 
 class TestSubcircuitConfig:

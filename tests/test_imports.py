@@ -149,3 +149,38 @@ def test_package_dir_and_unknown_names():
         mirrorbench.no_such_name  # noqa: B018
     with pytest.raises(ImportError):
         from mirrorbench import no_such_name  # noqa: F401
+
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+# The benchmark's traced mode: the five stages in-process, then its tracer,
+# which looks up every module that defines a traced function.
+TRACED_ENTRY = """import sys
+sys.path.insert(0, sys.argv[1])
+from mirrorbench.cli import main
+from spans import Tracer
+config, out = sys.argv[2:]
+for args in (["generate", "--config", config], ["simulate", "--fake-uniform"],
+             ["analyze", "--bootstrap", "5"], ["report"], ["oracle"]):
+    main([*args, "--out", out], standalone_mode=False)
+with Tracer().installed():
+    pass
+"""
+
+
+def test_benchmark_tracer_installs_after_fake_uniform_pipeline(tmp_path):
+    # Too wide for the oracle and with fake-uniform shots, as the benchmark's
+    # widest workload: no stage after generate needs the simulator.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "benchmark_type": "low_level",
+        "inputs": {"family": {"kind": "brickwork", "n": 8, "depth": 2, "seed": 0}},
+        "sampling": {"m1": 1, "m2": 1, "m3": 1},
+        "shots": 20,
+        "seed": 5,
+    }))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", TRACED_ENTRY, str(PERFBENCH), str(config),
+                           str(tmp_path / "exp")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -436,8 +436,9 @@ def embed(g, qubits, n):
     return full
 
 
-def kraus_enumeration_fidelity(c, nm):
-    """F = sum_h p_h |Tr(U^dag V_h)|^2 / d^2 over every Pauli error history h.
+def kraus_enumeration_fidelity(c, nm, target=None):
+    """F = sum_h p_h |Tr(U^dag V_h)|^2 / d^2 over every Pauli error history h,
+    where U is ``target``, by default the circuit's ideal unitary.
 
     Written from the noise model's definition, without the noisy program:
     each gate (its over-rotation about X folded in for X and SX) is followed
@@ -470,6 +471,8 @@ def kraus_enumeration_fidelity(c, nm):
         for q in range(n):
             if q not in busy and nm.theta_idle:
                 vs = embed(gate_matrix("RZ", (nm.theta_idle,)), (q,), n) @ vs
+    if target is not None:
+        u = target
     overlaps = np.einsum("ij,hij->h", u.conj(), vs)
     return float(np.sum(probs * np.abs(overlaps) ** 2) / d ** 2)
 
@@ -528,7 +531,23 @@ class TestChannelOracle:
     @pytest.mark.parametrize("model", sorted(MODELS))
     def test_matches_kraus_enumeration(self, circuit, model):
         c, nm = self.CIRCUITS[circuit], self.MODELS[model]
+        self.check_against_kraus(c, nm, haar_unitary(np.random.default_rng(3), 1 << c.n))
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_random_circuits_match_kraus_enumeration(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 4))
+        c = random_circuit(rng, n, int(rng.integers(1, 5)), kinds=GATE_ARITY)
+        nm = self.STRONG if rng.random() < 0.25 else random_noise_model(rng)
+        self.check_against_kraus(c, nm, haar_unitary(rng, 1 << n))
+
+    @staticmethod
+    def check_against_kraus(c, nm, target):
+        # The formula holds for any target unitary, not only the circuit's own.
         assert abs(exact_process_fidelity(c, nm) - kraus_enumeration_fidelity(c, nm)) <= 1e-12
+        assert abs(sim.process_fidelity_channel_vs_unitary(target, c, nm)
+                   - kraus_enumeration_fidelity(c, nm, target)) <= 1e-12
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=40, deadline=None, derandomize=True)
