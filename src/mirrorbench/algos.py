@@ -43,6 +43,11 @@ __all__ = [
 ]
 
 PI = math.pi
+# Widest Hamiltonian held as a dense matrix, and widest whose exact evolution
+# (and so the algorithmic fidelity of a Trotter circuit) is computed;
+# ``report`` leaves out the Trotter fidelities of wider ones.
+_DENSE_MAX_N = 12
+EVOLUTION_MAX_N = 10
 
 
 @dataclass(frozen=True)
@@ -62,9 +67,9 @@ class PauliSumHamiltonian:
             if not math.isfinite(coeff):
                 raise ContractError("coefficients must be finite reals")
 
-    def dense(self, max_n: int = 12) -> np.ndarray:
-        if self.n > max_n:
-            raise CapacityError(f"n={self.n} exceeds dense limit {max_n}")
+    def dense(self) -> np.ndarray:
+        if self.n > _DENSE_MAX_N:
+            raise CapacityError(f"n={self.n} exceeds dense limit {_DENSE_MAX_N}")
         dim = 1 << self.n
         h = np.zeros((dim, dim), dtype=complex)
         for coeff, ps in self.terms:
@@ -283,21 +288,18 @@ def trotter_circuit(h: PauliSumHamiltonian, spec: TrotterSpec) -> Circuit:
                    {"trotter": {"order": spec.order, "steps": m, "time": t}})
 
 
-def exact_evolution_unitary(h: PauliSumHamiltonian, t: float, max_n: int = 10) -> np.ndarray:
+def exact_evolution_unitary(h: PauliSumHamiltonian, t: float) -> np.ndarray:
     """exp(-i H t) via dense Hermitian eigendecomposition."""
-    hm = h.dense(max_n=max_n)
-    evals, evecs = np.linalg.eigh(hm)
+    if h.n > EVOLUTION_MAX_N:
+        raise CapacityError(f"n={h.n} exceeds dense limit {EVOLUTION_MAX_N}")
+    evals, evecs = np.linalg.eigh(h.dense())
     return (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
 
 
-def algorithmic_process_fidelity(h: PauliSumHamiltonian, spec: TrotterSpec,
-                                 max_n: int = 10) -> float:
+def algorithmic_process_fidelity(h: PauliSumHamiltonian, spec: TrotterSpec) -> float:
     """Fidelity of the Trotter circuit's unitary to the exact evolution."""
-    if h.n > max_n:
-        raise CapacityError(f"n={h.n} exceeds dense limit {max_n}")
-    u = exact_evolution_unitary(h, spec.time, max_n=max_n)
-    ut = unitary_of(trotter_circuit(h, spec), max_n=max_n)
-    return process_fidelity_unitaries(u, ut)
+    u = exact_evolution_unitary(h, spec.time)
+    return process_fidelity_unitaries(u, unitary_of(trotter_circuit(h, spec)))
 
 
 def full_process_fidelity(f_alg: float, f_noise: float) -> float:

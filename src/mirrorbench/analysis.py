@@ -91,15 +91,15 @@ def effective_polarization(t: ShotTable, target: str) -> PolarizationEstimate:
     return PolarizationEstimate(t.circuit_id, s, t.shots)
 
 
-def mcfe_estimate(s1: float, s2: float, s3: float, n: int,
-                  floor: float = RATIO_FLOOR) -> tuple[float, float, tuple[str, ...]]:
+def mcfe_estimate(s1: float, s2: float, s3: float,
+                  n: int) -> tuple[float, float, tuple[str, ...]]:
     """(F_hat, F_clamped, flags) from the kind-averaged polarizations.
 
     gamma = s1 / sqrt(s2 * s3); F = gamma + (1 - gamma) / 4^n. When
-    s2 * s3 <= floor the estimate is undefined: F_hat is NaN and the
+    s2 * s3 <= RATIO_FLOOR the estimate is undefined: F_hat is NaN and the
     'estimate-undefined' flag is set (F_clamped falls back to 0).
     """
-    if s2 * s3 <= floor:
+    if s2 * s3 <= RATIO_FLOOR:
         return float("nan"), 0.0, ("estimate-undefined",)
     gamma = s1 / math.sqrt(s2 * s3)
     q = 4.0 ** -n
@@ -199,8 +199,7 @@ def classical_fidelity(p, p_tilde) -> float:
     return float(np.sum(np.sqrt(a * b)) ** 2)
 
 
-def normalized_classical_fidelity(p, p_tilde, n: int,
-                                  floor: float = NCF_FLOOR) -> float:
+def normalized_classical_fidelity(p, p_tilde, n: int) -> float:
     """F_c rescaled so a uniform p~ scores 0:
     (F_c - u) / (1 - u) with u = F_c(uniform, p) = 2^{-n} (sum_x sqrt(p(x)))^2.
 
@@ -212,10 +211,10 @@ def normalized_classical_fidelity(p, p_tilde, n: int,
         raise ContractError("distribution size != 2^n")
     u = float(np.sum(np.sqrt(a))) ** 2 / 2 ** n
     denom = 1.0 - u
-    if denom <= floor:
+    if denom <= NCF_FLOOR:
         raise IllConditionedError(
             f"normalized classical fidelity is ill-conditioned: 1 - "
-            f"2^-n sum sqrt(p) = {denom:.3g} <= {floor}")
+            f"2^-n sum sqrt(p) = {denom:.3g} <= {NCF_FLOOR}")
     return (classical_fidelity(a, b) - u) / denom
 
 

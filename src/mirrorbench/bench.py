@@ -7,7 +7,7 @@ circuits produced for each, and a manifest tying everything together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np
@@ -30,6 +30,10 @@ __all__ = [
     "snip",
     "build_subcircuit",
 ]
+
+# Widest input whose compilations are checked against its dense unitary for
+# the intrinsic fidelity; wider ones record the per-gate drop budget.
+_INTRINSIC_MAX_N = 10
 
 
 @dataclass(frozen=True)
@@ -104,25 +108,23 @@ def build_low_level(circuits: list[Circuit], params: SamplingParams,
 
 
 def build_full_stack(circuits: list[Circuit], cfg: TranspileConfig, reps: int,
-                     params: SamplingParams, shots: int = 1000,
-                     intrinsic_max_n: int = 10) -> BenchmarkSuite:
+                     params: SamplingParams, shots: int = 1000) -> BenchmarkSuite:
     """B = transpilations of the inputs, ``reps`` stochastic compilations each.
 
     The mirror halves are built from the compiled circuit, so its noise
     fidelity is what gets estimated; the intrinsic fidelity of the compiled
     unitary to the intended one is recorded per benchmark record (exact dense
-    value for n <= intrinsic_max_n, the per-gate drop budget above that).
+    value for n <= _INTRINSIC_MAX_N, the per-gate drop budget above that).
     """
     if reps < 1:
         raise ContractError("reps must be >= 1")
     benchmarks: list[tuple[Circuit, dict]] = []
     for c in circuits:
-        intended = unitary_of(c) if c.n <= intrinsic_max_n else None
+        intended = unitary_of(c) if c.n <= _INTRINSIC_MAX_N else None
         for r in range(reps):
             seed = int(derive_seed(params.seed, c.id, "fullstack", r)
                        .integers(0, 2 ** 31))
-            rcfg = TranspileConfig(cfg.coupling, cfg.approximation_degree,
-                                   seed, cfg.initial_layout)
+            rcfg = replace(cfg, seed=seed)
             compiled = transpile(c, rcfg)
             compiled = compiled.with_id(f"{c.id}.rep{r}.native")
             if intended is not None:

@@ -54,7 +54,6 @@ __all__ = [
     "KIND_ARITY",
     "KIND_NPARAMS",
     "ONE_QUBIT_KINDS",
-    "TWO_QUBIT_KINDS",
     "NATIVE_KINDS",
     "CLIFFORD_MATS",
     "CLIFFORD_INV",
@@ -93,34 +92,27 @@ KIND_CODE = {k: i for i, k in enumerate(KINDS)}
 KIND_ARITY = np.array([GATE_ARITY[k] for k in KINDS])
 KIND_NPARAMS = np.array([GATE_NPARAMS[k] for k in KINDS])
 ONE_QUBIT_KINDS = frozenset(k for k, a in GATE_ARITY.items() if a == 1)
-TWO_QUBIT_KINDS = frozenset(k for k, a in GATE_ARITY.items() if a == 2)
 NATIVE_KINDS = frozenset({"X", "SX", "RZ", "CZ"})
 # Kinds accepted by the mirror generator (native plus generic 1q gates).
 MIRRORABLE_KINDS = NATIVE_KINDS | {"U3", "C1Q"}
 
-_I2 = np.eye(2, dtype=complex)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-_S = np.array([[1, 0], [0, 1j]], dtype=complex)
-_SX = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]], dtype=complex)
 
-PAULI_MATS = np.stack([_I2, _X, _Y, _Z])
+def _read_only(m: np.ndarray) -> np.ndarray:
+    """``m``, made read-only: gate tables are shared by every caller."""
+    m.flags.writeable = False
+    return m
+
+
+_I2 = _read_only(np.eye(2, dtype=complex))
+_X = _read_only(np.array([[0, 1], [1, 0]], dtype=complex))
+_Y = _read_only(np.array([[0, -1j], [1j, 0]], dtype=complex))
+_Z = _read_only(np.array([[1, 0], [0, -1]], dtype=complex))
+_H = _read_only(np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2))
+_S = _read_only(np.array([[1, 0], [0, 1j]], dtype=complex))
+_SX = _read_only(0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]], dtype=complex))
+
+PAULI_MATS = _read_only(np.stack([_I2, _X, _Y, _Z]))
 PAULI_LABELS = "IXYZ"
-
-
-def _u3_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array(
-        [[c, -np.exp(1j * lam) * s],
-         [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c]],
-        dtype=complex,
-    )
-
-
-def _rz_matrix(theta: float) -> np.ndarray:
-    return np.array([[np.exp(-0.5j * theta), 0], [0, np.exp(0.5j * theta)]])
 
 
 def _canonical_phase(m: np.ndarray) -> np.ndarray:
@@ -150,7 +142,7 @@ def _build_clifford_table() -> np.ndarray:
                 mats.append(nm)
                 queue.append(nm)
     assert len(mats) == 24
-    return np.stack(mats)
+    return _read_only(np.stack(mats))
 
 
 CLIFFORD_MATS = _build_clifford_table()
@@ -180,19 +172,10 @@ def clifford_inverse_index(i: int) -> int:
 
 
 def gate_matrix(kind: str, params: tuple = ()) -> np.ndarray:
-    """Dense matrix of a gate kind (2x2 or 4x4)."""
-    if kind == "X":
-        return _X
-    if kind == "SX":
-        return _SX
-    if kind == "H":
-        return _H
-    if kind == "RZ":
-        return _rz_matrix(params[0])
-    if kind == "U3":
-        return _u3_matrix(*params)
-    if kind == "C1Q":
-        return CLIFFORD_MATS[int(params[0])]
+    """Dense matrix of a gate kind (2x2 or 4x4), a new array on every call."""
+    if GATE_ARITY.get(kind) == 1:
+        padded = np.array([(*params, 0.0, 0.0, 0.0)[:3]], dtype=float)
+        return gate_matrices_1q(np.array([KIND_CODE[kind]]), padded)[0]
     if kind == "CZ":
         return np.diag([1, 1, 1, -1]).astype(complex)
     if kind == "CX":
@@ -207,14 +190,12 @@ def gate_matrix(kind: str, params: tuple = ()) -> np.ndarray:
 
 
 # Matrix of each kind without parameters (identity for the others).
-_FIXED_1Q = np.stack([gate_matrix(k) if GATE_NPARAMS[k] == 0 and GATE_ARITY[k] == 1
-                      else _I2 for k in KINDS])
+_FIXED_1Q = _read_only(np.stack([{"X": _X, "SX": _SX, "H": _H}.get(k, _I2) for k in KINDS]))
 
 
 def gate_matrices_1q(kind: np.ndarray, params: np.ndarray) -> np.ndarray:
     """Stack of the 2x2 matrices of 1-qubit gates given as kind codes and
-    ``(m, 3)`` params, vectorized by kind; equal to ``gate_matrix`` bit for
-    bit."""
+    ``(m, 3)`` params, vectorized by kind, in a new array."""
     out = _FIXED_1Q[kind]
     u3 = kind == KIND_CODE["U3"]
     if u3.any():
@@ -234,7 +215,8 @@ def gate_matrices_1q(kind: np.ndarray, params: np.ndarray) -> np.ndarray:
         m[:, 1, 1] = np.exp(0.5j * th)
         out[rz] = m
     c1q = kind == KIND_CODE["C1Q"]
-    out[c1q] = CLIFFORD_MATS[params[c1q, 0].astype(int)]
+    if c1q.any():
+        out[c1q] = CLIFFORD_MATS[params[c1q, 0].astype(int)]
     return out
 
 
@@ -489,9 +471,12 @@ def unitary_of(c: Circuit, max_n: int = 12) -> np.ndarray:
         raise CapacityError(f"n={c.n} exceeds dense limit {max_n}")
     dim = 1 << c.n
     u = np.eye(dim, dtype=complex).reshape((2,) * c.n + (dim,))
-    for layer in c.layers:
-        for op in layer:
-            u = apply_gate(op.matrix(), u, op.qubits, c.n)
+    one_q = c.qubits[:, 1] < 0
+    mats = iter(gate_matrices_1q(c.kind[one_q], c.params[one_q]))
+    for layer in c.rows():
+        for kind, params, qubits in layer:
+            g = next(mats) if len(qubits) == 1 else gate_matrix(kind, params)
+            u = apply_gate(g, u, qubits, c.n)
     return u.reshape(dim, dim)
 
 

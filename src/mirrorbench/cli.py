@@ -252,10 +252,13 @@ def _build(cfg: dict) -> BenchmarkSuite:
     )
     from mirrorbench.transpile import TranspileConfig
 
+    shots = cfg.get("shots", 1000)
+    if type(shots) is not int or shots < 1:  # bool is an int, and int() truncates
+        raise ConfigError(f"config: 'shots' must be a positive integer, "
+                          f"got {json.dumps(shots)}")
     with _config_values():
         circuits = _input_circuits(cfg)
         params = _sampling_from(cfg)
-        shots = int(cfg.get("shots", 1000))
         bt = cfg["benchmark_type"]
         if cfg.get("compile_to_native") and bt != "full_stack":
             from mirrorbench.transpile import decompose_to_basis
@@ -504,7 +507,7 @@ def report(out_dir):
                     meta_by_id[c.id] = c.meta["trotter"]
         for r in recs:
             tm = meta_by_id.get(r.benchmark_id)
-            if tm is None or h.n > 10:
+            if tm is None or h.n > algos.EVOLUTION_MAX_N:
                 continue
             spec = algos.TrotterSpec(int(tm["order"]), int(tm["steps"]),
                                      float(tm["time"]))

@@ -98,19 +98,6 @@ class NoiseModel:
     def noiseless(cls) -> "NoiseModel":
         return cls()
 
-    def is_noiseless(self) -> bool:
-        return (self.lam_1q == 0 and self.lam_2q == 0 and self.theta_idle == 0
-                and self.eps_ro == 0 and not any(self.theta_over.values()))
-
-    def to_dict(self) -> dict:
-        return {
-            "lam_1q": self.lam_1q,
-            "lam_2q": self.lam_2q,
-            "theta_over": dict(self.theta_over),
-            "theta_idle": self.theta_idle,
-            "eps_ro": self.eps_ro,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "NoiseModel":
         return cls(

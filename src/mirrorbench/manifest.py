@@ -81,11 +81,8 @@ class Manifest:
                         f"mirror record needs a parent benchmark record, got "
                         f"parent_id={parent!r}", f"$.records[{i}].parent_id")
 
-    def mirror_records(self, kind: str | None = None) -> list[dict]:
-        out = [r for r in self.records if r["kind"] in ("M1", "M2", "M3")]
-        if kind is not None:
-            out = [r for r in out if r["kind"] == kind]
-        return out
+    def mirror_records(self) -> list[dict]:
+        return [r for r in self.records if r["kind"] in ("M1", "M2", "M3")]
 
     def to_dict(self) -> dict:
         d = dict(self.extra)

@@ -50,7 +50,6 @@ class MirrorCircuit:
     kind: str  # M1 | M2 | M3
     parent_id: str | None
     target: str
-    seed: int | None = None
 
 
 @dataclass(frozen=True)
@@ -197,6 +196,4 @@ def build_suite(c: Circuit, params: SamplingParams):
     for kind, make, count in makers:
         for i in range(count):
             rng = derive_seed(params.seed, c.id, kind, i)
-            cid = f"{c.id}.{kind.lower()}.{i}"
-            mc = make(rng, cid)
-            yield MirrorCircuit(mc.circuit, mc.kind, c.id, mc.target, seed=params.seed)
+            yield make(rng, f"{c.id}.{kind.lower()}.{i}")

@@ -10,7 +10,15 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from mirrorbench.circuits import Circuit, GateOp, gate_matrix, layerize, u3_params_from_matrix
+from mirrorbench.circuits import (
+    GATE_ARITY,
+    GATE_NPARAMS,
+    Circuit,
+    GateOp,
+    gate_matrix,
+    layerize,
+    u3_params_from_matrix,
+)
 from mirrorbench.core import QasmError
 
 __all__ = ["parse_qasm", "serialize_qasm", "QasmError", "UnsupportedGateError"]
@@ -22,12 +30,12 @@ class UnsupportedGateError(QasmError):
     pass
 
 
+# QASM gate name -> kind. A kind's first name is the one the serializer writes.
 _GATE_NAMES = {
-    "x": ("X", 0, 1), "sx": ("SX", 0, 1), "h": ("H", 0, 1),
-    "rz": ("RZ", 1, 1), "cz": ("CZ", 0, 2), "cx": ("CX", 0, 2),
-    "swap": ("SWAP", 0, 2), "cp": ("CP", 1, 2), "cu1": ("CP", 1, 2),
-    "u3": ("U3", 3, 1), "u": ("U3", 3, 1),
+    "x": "X", "sx": "SX", "h": "H", "rz": "RZ", "cz": "CZ", "cx": "CX",
+    "swap": "SWAP", "cp": "CP", "cu1": "CP", "u3": "U3", "u": "U3",
 }
+_QASM_NAME = {kind: name for name, kind in reversed(_GATE_NAMES.items())}
 
 _TOKEN_RE = re.compile(
     r"(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
@@ -256,7 +264,8 @@ def parse_qasm(text: str) -> Circuit:
         key = name.lower()
         if key not in _GATE_NAMES:
             raise UnsupportedGateError(f"unsupported gate {name!r}", t.line, t.col)
-        kind, nparams, arity = _GATE_NAMES[key]
+        kind = _GATE_NAMES[key]
+        nparams, arity = GATE_NPARAMS[kind], GATE_ARITY[kind]
 
         params: tuple[float, ...] = ()
         if nparams:
@@ -287,12 +296,6 @@ def parse_qasm(text: str) -> Circuit:
         raise QasmError("no qreg declaration found", 1, 1)
     layers = layerize(n, ops, barriers=barriers)
     return Circuit(n, layers, meta={"measure_all": measured})
-
-
-_QASM_NAME = {
-    "X": "x", "SX": "sx", "H": "h", "RZ": "rz", "CZ": "cz",
-    "CX": "cx", "SWAP": "swap", "CP": "cp", "U3": "u3",
-}
 
 
 def _fmt(x: float) -> str:

@@ -82,6 +82,17 @@ __all__ = [
 
 _I2, _X = PAULI_MATS[:2]
 
+# The widest circuit each representation accepts: a state of 2^n
+# amplitudes, the sampler's buffer of up to (shots + 1) 2^n, a density
+# tensor of 4^n, and a dense unitary of 4^n.
+_STATEVECTOR_MAX_N = 20
+_TRAJECTORY_MAX_N = 12
+_DENSITY_MAX_N = 10
+_UNITARY_MAX_N = 12
+# Outcome probabilities at or below these are left out of a distribution.
+_STATEVECTOR_TOL = 1e-12
+_DENSITY_TOL = 1e-14
+
 
 @dataclass
 class OutcomeDistribution:
@@ -146,25 +157,24 @@ def _evolve_pure(psi: np.ndarray, c: Circuit, nm: NoiseModel) -> np.ndarray:
 # --- ideal statevector simulation ----------------------------------------------
 
 
-def statevector(c: Circuit, max_n: int = 20) -> np.ndarray:
+def statevector(c: Circuit) -> np.ndarray:
     """Error-free final state of the circuit on |0...0>, as a (2,)*n tensor."""
-    if c.n > max_n:
-        raise CapacityError(f"n={c.n} exceeds statevector limit {max_n}")
+    if c.n > _STATEVECTOR_MAX_N:
+        raise CapacityError(f"n={c.n} exceeds statevector limit {_STATEVECTOR_MAX_N}")
     psi = np.zeros((2,) * c.n, dtype=complex)
     psi[(0,) * c.n] = 1.0
     return _evolve_pure(psi, c, NoiseModel.noiseless())
 
 
-def ideal_distribution(c: Circuit, max_n: int = 20, tol: float = 1e-12) -> OutcomeDistribution:
+def ideal_distribution(c: Circuit) -> OutcomeDistribution:
     """Error-free outcome distribution |<x|U|0..0>|^2 as a sparse map."""
-    return _outcomes(np.abs(statevector(c, max_n=max_n).ravel()) ** 2, c.n, tol)
+    return _outcomes(np.abs(statevector(c).ravel()) ** 2, c.n, _STATEVECTOR_TOL)
 
 
 # --- Monte-Carlo shot sampling ----------------------------------------------------
 
 
-def sample_shots(c: Circuit, nm: NoiseModel, shots: int, seed: int,
-                 max_n: int = 12) -> ShotTable:
+def sample_shots(c: Circuit, nm: NoiseModel, shots: int, seed: int) -> ShotTable:
     """Sample measurement outcomes from Monte-Carlo noise trajectories.
 
     Per shot: gates (with coherent over-rotations folded in) act as unitaries,
@@ -195,8 +205,8 @@ def sample_shots(c: Circuit, nm: NoiseModel, shots: int, seed: int,
     """
     if shots <= 0:
         raise ContractError("shots must be positive")
-    if c.n > max_n:
-        raise CapacityError(f"n={c.n} exceeds trajectory limit {max_n}")
+    if c.n > _TRAJECTORY_MAX_N:
+        raise CapacityError(f"n={c.n} exceeds trajectory limit {_TRAJECTORY_MAX_N}")
     rng = derive_seed(seed, c.id)
     n = c.n
     layers = list(_noisy_program(c, nm))
@@ -422,12 +432,11 @@ def _choi_columns(c: Circuit, nm: NoiseModel, lo: int, hi: int) -> np.ndarray:
     return rho.reshape(dim, dim, hi - lo)
 
 
-def noisy_distribution(c: Circuit, nm: NoiseModel, max_n: int = 10,
-                       tol: float = 1e-14) -> OutcomeDistribution:
+def noisy_distribution(c: Circuit, nm: NoiseModel) -> OutcomeDistribution:
     """Exact outcome distribution under the noise model: the diagonal of the
     channel's image of |0..0><0..0|, then the readout error."""
-    if c.n > max_n:
-        raise CapacityError(f"n={c.n} exceeds density-evolution limit {max_n}")
+    if c.n > _DENSITY_MAX_N:
+        raise CapacityError(f"n={c.n} exceeds density-evolution limit {_DENSITY_MAX_N}")
     n = c.n
     probs = _choi_columns(c, nm, 0, 1)[:, :, 0].diagonal().real
     if nm.eps_ro > 0:
@@ -438,7 +447,7 @@ def noisy_distribution(c: Circuit, nm: NoiseModel, max_n: int = 10,
         for q in range(n):
             probs = apply_gate(mix, probs, (q,), n)
         probs = probs.ravel()
-    return _outcomes(probs, n, tol)
+    return _outcomes(probs, n, _DENSITY_TOL)
 
 
 # --- process fidelity oracles -----------------------------------------------------
@@ -452,14 +461,14 @@ def process_fidelity_unitaries(u: np.ndarray, v: np.ndarray) -> float:
     return float(abs(np.trace(u.conj().T @ v)) ** 2 / d ** 2)
 
 
-def noisy_unitary(c: Circuit, nm: NoiseModel, max_n: int = 12) -> np.ndarray:
+def noisy_unitary(c: Circuit, nm: NoiseModel) -> np.ndarray:
     """Circuit unitary with coherent-error and idle rotations folded in.
 
     Only meaningful for models without depolarizing noise (used as a
     cross-check oracle for coherent-only models).
     """
-    if c.n > max_n:
-        raise CapacityError(f"n={c.n} exceeds dense limit {max_n}")
+    if c.n > _UNITARY_MAX_N:
+        raise CapacityError(f"n={c.n} exceeds dense limit {_UNITARY_MAX_N}")
     dim = 1 << c.n
     u = np.eye(dim, dtype=complex).reshape((2,) * c.n + (dim,))
     return _evolve_pure(u, c, nm).reshape(dim, dim)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,9 @@ from mirrorbench.circuits import (
     ContractError,
     CouplingGraph,
     GateOp,
+    KIND_CODE,
     NATIVE_KINDS,
+    gate_matrices_1q,
     gate_matrix,
     layerize,
     u3_params_from_matrix,
@@ -40,43 +42,22 @@ class TranspileConfig:
     coupling: CouplingGraph
     approximation_degree: float = 1.0
     seed: int = 0
-    initial_layout: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if not 0.0 < self.approximation_degree <= 1.0:
             raise ContractError("approximation degree must lie in (0, 1]")
-        if self.initial_layout is not None:
-            if sorted(self.initial_layout) != list(range(self.coupling.n)):
-                raise ContractError("initial layout must be a permutation of qubits")
 
     def digest(self) -> str:
+        # "layout" stays in the payload, always null, so that the digests
+        # recorded in existing manifests still match.
         payload = json.dumps({
             "edges": sorted(self.coupling.edges),
             "n": self.coupling.n,
             "degree": self.approximation_degree,
             "seed": self.seed,
-            "layout": self.initial_layout,
+            "layout": None,
         }, sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-    def to_dict(self) -> dict:
-        return {
-            "coupling": {"n": self.coupling.n, "edges": sorted(self.coupling.edges)},
-            "approximation_degree": self.approximation_degree,
-            "seed": self.seed,
-            "initial_layout": list(self.initial_layout) if self.initial_layout else None,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TranspileConfig":
-        cp = d["coupling"]
-        layout = d.get("initial_layout")
-        return cls(
-            CouplingGraph(cp["n"], frozenset(tuple(e) for e in cp["edges"])),
-            d.get("approximation_degree", 1.0),
-            d.get("seed", 0),
-            tuple(layout) if layout else None,
-        )
 
 
 # --- basis decomposition ----------------------------------------------------------
@@ -139,6 +120,11 @@ def _fuse_1q_runs(n: int, flat: list[GateOp]) -> list[GateOp]:
     """Collapse maximal single-qubit runs into RZ / RZ-SX-RZ-SX-RZ sequences."""
     pending: list[np.ndarray | None] = [None] * n
     out: list[GateOp] = []
+    # The 1q matrices of the whole list, built in one call and used in order.
+    one_q = [op for op in flat if len(op.qubits) == 1]
+    kinds = np.array([KIND_CODE[op.kind] for op in one_q], dtype=int)
+    params = np.array([(*op.params, 0.0, 0.0, 0.0)[:3] for op in one_q], dtype=float)
+    mats = iter(gate_matrices_1q(kinds, params.reshape(-1, 3)))
 
     def flush(q: int):
         if pending[q] is not None:
@@ -148,7 +134,7 @@ def _fuse_1q_runs(n: int, flat: list[GateOp]) -> list[GateOp]:
     for op in flat:
         if len(op.qubits) == 1:
             q = op.qubits[0]
-            m = op.matrix()
+            m = next(mats)
             pending[q] = m if pending[q] is None else m @ pending[q]
         else:
             for q in op.qubits:
@@ -280,12 +266,6 @@ def transpile(c: Circuit, cfg: TranspileConfig) -> Circuit:
     digest.
     """
     pruned, dropped = approximate_prune(c, cfg.approximation_degree)
-    if cfg.initial_layout is not None:
-        remap = {l: p for l, p in enumerate(cfg.initial_layout)}
-        ops = [GateOp(op.kind, op.params, tuple(remap[q] for q in op.qubits))
-               for op in pruned.ops()]
-        pruned = Circuit(cfg.coupling.n, layerize(cfg.coupling.n, ops),
-                         pruned.id, dict(pruned.meta))
     native = decompose_to_basis(pruned)
     routed = route(native, cfg.coupling, cfg.seed)
     final = decompose_to_basis(routed)

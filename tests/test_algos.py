@@ -19,6 +19,7 @@ from mirrorbench.algos import (
     trotter_circuit,
 )
 from mirrorbench.circuits import (
+    CapacityError,
     Circuit,
     ContractError,
     GateOp,
@@ -154,6 +155,16 @@ class TestHamiltonians:
             PauliSumHamiltonian(2, ((1.0, "AB"),))
         with pytest.raises(ContractError):
             tfim(2)
+
+
+@pytest.mark.parametrize("dense, limit", [
+    (lambda h: h.dense(), 12),
+    (lambda h: exact_evolution_unitary(h, 1.0), 10),
+    (lambda h: algorithmic_process_fidelity(h, TrotterSpec()), 10),
+], ids=["dense", "exact_evolution_unitary", "algorithmic_process_fidelity"])
+def test_width_limit(dense, limit):
+    with pytest.raises(CapacityError, match=f"^n={limit + 1} exceeds dense limit {limit}$"):
+        dense(PauliSumHamiltonian(limit + 1, ()))
 
 
 class TestPauliExponential:

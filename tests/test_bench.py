@@ -33,7 +33,7 @@ class TestLowLevel:
         m.validate()
         assert m.benchmark_type == "low_level"
         assert len(m.mirror_records()) == 30
-        assert len(m.mirror_records("M1")) == 10
+        assert len([r for r in m.mirror_records() if r["kind"] == "M1"]) == 10
 
     def test_three_circuits_ninety_proxies(self):
         rng = np.random.default_rng(1)

@@ -173,6 +173,19 @@ class TestUnitaryOf:
                            atol=1e-10)
 
 
+class TestGateTables:
+    def test_tables_cannot_be_written(self):
+        from mirrorbench.circuits import _FIXED_1Q, _H, _SX, _X
+
+        for table in (_X, _SX, _H, PAULI_MATS, CLIFFORD_MATS, _FIXED_1Q):
+            with pytest.raises(ValueError, match="read-only"):
+                table[..., 0, 0] = 5
+        for kind, params in [("X", ()), ("H", ()), ("C1Q", (3.0,)), ("RZ", (0.5,))]:
+            before = gate_matrix(kind, params).copy()
+            gate_matrix(kind, params)[0, 0] = 5
+            assert np.array_equal(gate_matrix(kind, params), before)
+
+
 class TestCliffordTable:
     def test_24_distinct_elements(self):
         assert CLIFFORD_MATS.shape == (24, 2, 2)

@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from mirrorbench import sim
-from mirrorbench.circuits import ContractError
+from mirrorbench.circuits import CapacityError, ContractError
 from mirrorbench.cli import main
 
 BRICK_CONFIG = {
@@ -63,6 +63,11 @@ ERROR_CASES = {
                                 "transpile": {"coupling": {"n": 3}}},
                                None, "generate", 2),
     "bad-noise": ({"noise": {"lam_1q": 3}}, None, "generate", 2),
+    # shots must be a positive JSON integer: simulate refuses 0, and a bool
+    # or a fraction is not a count.
+    "zero-shots": ({"shots": 0}, None, "generate", 2),
+    "bool-shots": ({"shots": True}, None, "generate", 2),
+    "fractional-shots": ({"shots": 1.7}, None, "generate", 2),
 }
 
 
@@ -389,6 +394,26 @@ class TestTrotterReport:
         assert "F_alg=" in summary and "F_noise=" in summary \
             and "F_full=" in summary
         assert "F_alg=1.000000" in summary  # diagonal Hamiltonian is exact
+
+    def test_report_leaves_out_what_algos_cannot_evolve(self, runner, tmp_path, monkeypatch):
+        # report asks algos how wide an exact evolution may be, so the two
+        # cannot disagree and end report in a CapacityError.
+        from mirrorbench import algos
+
+        cfg = {"benchmark_type": "low_level", "compile_to_native": True,
+               "inputs": {"family": {"kind": "trotter",
+                                     "hamiltonian": {"type": "tfim", "n": 3}}},
+               "sampling": {"m1": 1, "m2": 1, "m3": 1}, "shots": 20, "seed": 1}
+        out = str(tmp_path / "exp")
+        run_ok(runner, ["generate", "--config", write_config(tmp_path, cfg), "--out", out])
+        run_ok(runner, ["simulate", "--out", out])
+        run_ok(runner, ["analyze", "--out", out, "--bootstrap", "5"])
+        monkeypatch.setattr(algos, "EVOLUTION_MAX_N", 2)
+        with pytest.raises(CapacityError):
+            algos.algorithmic_process_fidelity(algos.tfim(3), algos.TrotterSpec())
+        run_ok(runner, ["report", "--out", out])
+        summary = pathlib.Path(out, "summary.txt").read_text()
+        assert "trotter fidelities" in summary and "F_alg=" not in summary
 
     def test_report_with_moved_hamiltonian_file_exits_2(self, runner, tmp_path):
         from mirrorbench import algos

@@ -87,11 +87,15 @@ class TestNoiseModel:
             NoiseModel(eps_ro=0.7)
 
     def test_dict_round_trip(self):
-        assert NoiseModel.from_dict(COMBINED.to_dict()) == COMBINED
+        d = {"lam_1q": 0.01, "lam_2q": 0.05, "theta_over": {"X": 0.1, "SX": -0.2},
+             "theta_idle": 0.07, "eps_ro": 0.02}
+        assert NoiseModel.from_dict(d) == NoiseModel(
+            lam_1q=0.01, lam_2q=0.05, theta_over={"X": 0.1, "SX": -0.2},
+            theta_idle=0.07, eps_ro=0.02)
 
     def test_noiseless(self):
-        assert NoiseModel.noiseless().is_noiseless()
-        assert not COMBINED.is_noiseless()
+        assert NoiseModel.noiseless() == NoiseModel(0.0, 0.0, {}, 0.0, 0.0)
+        assert NoiseModel.noiseless() != COMBINED
 
 
 class TestIdealDistribution:
@@ -419,6 +423,19 @@ class TestExactProcessFidelity:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             exact_process_fidelity(Circuit(7, ()), NoiseModel.noiseless())
+
+
+@pytest.mark.parametrize("simulate, limit, message", [
+    (sim.statevector, 20, "statevector limit"),
+    (ideal_distribution, 20, "statevector limit"),
+    (lambda c: sample_shots(c, COMBINED, 1, 0), 12, "trajectory limit"),
+    (lambda c: noisy_distribution(c, COMBINED), 10, "density-evolution limit"),
+    (lambda c: noisy_unitary(c, COMBINED), 12, "dense limit"),
+], ids=["statevector", "ideal_distribution", "sample_shots", "noisy_distribution",
+        "noisy_unitary"])
+def test_width_limit(simulate, limit, message):
+    with pytest.raises(CapacityError, match=f"^n={limit + 1} exceeds {message} {limit}$"):
+        simulate(Circuit(limit + 1, ()))
 
 
 def embed(g, qubits, n):

@@ -167,20 +167,11 @@ class TestTranspile:
         w = permutation_matrix(out.meta["permutation"], out.n)
         assert equal_up_to_phase(w.conj().T @ unitary_of(out), unitary_of(pruned))
 
-    def test_initial_layout_applied(self):
-        c = Circuit(2, ((GateOp("X", (), (0,)),),))
-        cfg = TranspileConfig(CouplingGraph.all_to_all(2), 1.0, 0,
-                              initial_layout=(1, 0))
-        out = transpile(c, cfg)
-        assert all(op.qubits == (1,) for op in out.ops())
-
     def test_config_digest_sensitivity(self):
         cp = CouplingGraph.line(3)
         a = TranspileConfig(cp, 1.0, 0).digest()
         b = TranspileConfig(cp, 0.999, 0).digest()
         c = TranspileConfig(cp, 1.0, 1).digest()
         assert len({a, b, c}) == 3
-
-    def test_config_round_trip(self):
-        cfg = TranspileConfig(CouplingGraph.line(4), 0.99, 5, (2, 0, 1, 3))
-        assert TranspileConfig.from_dict(cfg.to_dict()) == cfg
+        # Manifests record this digest, so its payload may not change.
+        assert a == "0d6abf88a485305f"
