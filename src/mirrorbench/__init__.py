@@ -23,7 +23,6 @@ _EXPORTS = {
         "GateOp",
         "inverse",
         "layerize",
-        "unitary_of",
     ),
     "sim": (
         "OutcomeDistribution",
@@ -32,6 +31,7 @@ _EXPORTS = {
         "noisy_distribution",
         "process_fidelity_unitaries",
         "sample_shots",
+        "unitary_of",
     ),
     "shots": ("ShotTable",),
     "mirror": ("MirrorCircuit", "SamplingParams", "build_suite"),

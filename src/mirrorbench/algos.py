@@ -23,9 +23,8 @@ from mirrorbench.circuits import (
     PAULI_LABELS,
     PAULI_MATS,
     layerize,
-    unitary_of,
 )
-from mirrorbench.sim import derive_seed, process_fidelity_unitaries
+from mirrorbench.sim import derive_seed, process_fidelity_unitaries, unitary_of
 
 __all__ = [
     "PauliSumHamiltonian",

@@ -12,14 +12,10 @@ from typing import Iterator
 
 import numpy as np
 
-from mirrorbench.circuits import (
-    Circuit,
-    ContractError,
-    unitary_of,
-)
+from mirrorbench.circuits import Circuit, ContractError, permutation_matrix
 from mirrorbench.manifest import Manifest
 from mirrorbench.mirror import MirrorCircuit, SamplingParams, build_suite, check_native
-from mirrorbench.sim import derive_seed, process_fidelity_unitaries
+from mirrorbench.sim import derive_seed, process_fidelity_unitaries, unitary_of
 from mirrorbench.transpile import TranspileConfig, transpile
 
 __all__ = [
@@ -129,7 +125,6 @@ def build_full_stack(circuits: list[Circuit], cfg: TranspileConfig, reps: int,
             compiled = compiled.with_id(f"{c.id}.rep{r}.native")
             if intended is not None:
                 perm = compiled.meta.get("permutation", tuple(range(compiled.n)))
-                from mirrorbench.circuits import permutation_matrix
                 u = permutation_matrix(perm, compiled.n).conj().T @ unitary_of(compiled)
                 pad = np.eye(1 << (compiled.n - c.n))
                 intrinsic = process_fidelity_unitaries(np.kron(intended, pad), u)

@@ -9,19 +9,21 @@ as four flat read-only arrays.
 * ``layer_start``: ``depth + 1`` offsets; layer i holds the gates
   ``layer_start[i]:layer_start[i + 1]``.
 
-Both constructors validate the arrays with a fixed number of vectorised
-checks however deep the circuit is; a ``ContractError`` names the first
-offending gate in ``at``. Wide-circuit code (mirror construction, snipping,
-JSON storage, the noisy program) reads the arrays. ``Circuit.layers`` and
-``Circuit.ops()`` are a ``GateOp`` view with Python scalars, built on every
-call, for the narrow consumers that walk a circuit gate by gate (QASM,
-transpilation, dense unitaries and the oracles).
+``GateOp`` is one row as a plain ``(kind, params, qubits)`` tuple and checks
+nothing by itself. One decoder (``_decode``) turns such records, from
+``GateOp`` lists, JSON files or the transpiler, into the arrays, and rejects
+one it could only store by truncating or coercing it. Every circuit then
+meets the gate rules of ``_check_arrays``, vectorised checks whose
+``ContractError`` names the gate's ``(layer, position)`` in ``at``.
+``Circuit.layers`` and ``Circuit.ops()`` give the rows as ``GateOp``s of
+Python scalars, built on every call, for code that walks a circuit gate by
+gate; wide-circuit code reads the arrays.
 
 Conventions used throughout the package:
 
 * Qubit 0 is the leftmost character of a bitstring and the most significant
   bit of a computational-basis index.
-* ``unitary_of(c)`` returns ``U_L @ ... @ U_2 @ U_1`` where layer 1 is
+* ``sim.unitary_of(c)`` returns ``U_L @ ... @ U_2 @ U_1`` where layer 1 is
   executed first (matrices compose right-to-left in time).
 * ``RZ(theta) = exp(-i theta Z / 2)``, ``CP(theta) = diag(1, 1, 1, e^{i theta})``,
   and ``U3(theta, phi, lam)`` is the standard Euler parameterization
@@ -35,8 +37,12 @@ from __future__ import annotations
 import copy
 import hashlib
 import math
+import numbers
+import sys
 from collections import deque
+from itertools import chain, repeat
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,7 +70,6 @@ __all__ = [
     "layerize",
     "inverse",
     "invert_op",
-    "unitary_of",
     "apply_gate",
     "u3_params_from_matrix",
     "u3_params_from_matrices",
@@ -239,37 +244,30 @@ PAULI_CONJ_CZ = np.stack([_CZ_CONJ // 4, _CZ_CONJ % 4], axis=-1)
 
 # --- circuit data types -------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class GateOp:
-    """A single gate operation: kind, angle parameters, ordered qubit indices."""
+class GateOp(NamedTuple):
+    """One gate as a row of a circuit: kind, angle parameters, ordered qubit
+    indices. It checks nothing by itself; ``Circuit`` checks its gates."""
 
     kind: str
     params: tuple[float, ...] = ()
     qubits: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.kind not in GATE_ARITY:
-            raise ContractError(f"unknown gate kind {self.kind!r}")
-        if len(self.qubits) != GATE_ARITY[self.kind]:
-            raise ContractError(
-                f"{self.kind} expects {GATE_ARITY[self.kind]} qubits, got {self.qubits}")
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ContractError(f"duplicate qubits in {self.kind} op: {self.qubits}")
-        if len(self.params) != GATE_NPARAMS[self.kind]:
-            raise ContractError(
-                f"{self.kind} expects {GATE_NPARAMS[self.kind]} params, got {self.params}")
-        if any(not math.isfinite(p) for p in self.params):
-            raise ContractError(f"non-finite parameter in {self.kind} op")
-        if self.kind == "C1Q":
-            idx = self.params[0]
-            if idx != int(idx) or not 0 <= idx < 24:
-                raise ContractError(f"C1Q index must be an integer in 0..23, got {idx}")
 
     def matrix(self) -> np.ndarray:
         return gate_matrix(self.kind, self.params)
 
 
 Layer = tuple[GateOp, ...]
+
+
+def _raise_first(rules: dict, layer_start, describe) -> None:
+    """Raise ``ContractError`` at the first gate flagged by one of ``rules``
+    (name -> mask over the gates), naming that rule and ``describe(g)``."""
+    bad = np.stack(list(rules.values()))
+    if bad.any():
+        g = int(np.argmax(bad.any(axis=0)))
+        i = int(np.searchsorted(layer_start, g, side="right")) - 1
+        raise ContractError(f"{list(rules)[int(np.argmax(bad[:, g]))]}: {describe(g)}",
+                            at=(i, g - int(layer_start[i])))
 
 
 def _check_arrays(n: int, kind, qubits, params, layer_start):
@@ -306,14 +304,58 @@ def _check_arrays(n: int, kind, qubits, params, layer_start):
             (kind == KIND_CODE["C1Q"]) & ~((p0 == np.floor(p0)) & (p0 >= 0) & (p0 < 24)),
         "qubit appears twice in one layer": again,
     }
-    bad = np.stack(list(rules.values()))
-    if bad.any():
-        g = int(np.argmax(bad.any(axis=0)))
-        i = int(np.searchsorted(layer_start, g, side="right")) - 1
-        name = KINDS[kind[g]] if known[g] else f"kind code {kind[g]}"
-        raise ContractError(f"{list(rules)[int(np.argmax(bad[:, g]))]}: {name} on qubits "
-                            f"{qubits[g].tolist()} with params {params[g].tolist()}",
-                            at=(i, g - int(layer_start[i])))
+    _raise_first(rules, layer_start, lambda g: (
+        f"{KINDS[kind[g]] if known[g] else f'kind code {kind[g]}'} on qubits "
+        f"{qubits[g].tolist()} with params {params[g].tolist()}"))
+
+
+def _array(values: list, dtype, limit, stand_in) -> np.ndarray:
+    """``values`` as ``dtype``, an int beyond ``limit`` as ``stand_in``, which a rule rejects."""
+    try:
+        return np.array(values, dtype=dtype)
+    except OverflowError:
+        return np.array([v if abs(v) <= limit else stand_in for v in values], dtype=dtype)
+
+
+def _decode(layers) -> tuple:
+    """The ``kind``, ``qubits``, ``params`` and ``layer_start`` arrays of
+    layers of ``(kind, params, qubits)`` records (``GateOp``s or plain tuples).
+
+    A record becomes a row only as it is: one with an unknown kind, or with
+    qubits or params that are not a list or tuple of its kind's length of
+    integers and of real numbers, raises ``ContractError`` at its ``(layer,
+    position)``. The gate rules on the rows are ``_check_arrays``'s."""
+    layers = [tuple(layer) for layer in layers]
+    records = [r for layer in layers for r in layer]
+    layer_start = np.cumsum([0, *map(len, layers)])
+    kinds, params, qubits = zip(*records) if records else ((), (), ())
+    kind = np.array([KIND_CODE.get(k, -1) if isinstance(k, str) else -1 for k in kinds],
+                    dtype=np.int8)
+    rules, columns = {"unknown gate kind": kind < 0}, []
+    for name, column, counts, numbers_of, what in (
+            ("qubits", qubits, KIND_ARITY, numbers.Integral, "integers"),
+            ("params", params, KIND_NPARAMS, numbers.Real, "real numbers")):
+        if not all(map(isinstance, column, repeat((list, tuple)))):
+            # Counted as four values, more than any kind takes.
+            column = [v if isinstance(v, (list, tuple)) else (None,) * 4 for v in column]
+        count = np.fromiter(map(len, column), int, len(column))
+        flat = list(chain.from_iterable(column))
+        # Each type met is judged once; bool is an int but no qubit or param.
+        fits = {t: issubclass(t, numbers_of) and not issubclass(t, bool)
+                for t in set(map(type, flat))}
+        refused = [] if all(fits.values()) else [not fits[type(x)] for x in flat]
+        rules[f"wrong number of {name}"] = count != counts[kind]
+        rules[f"{name} must be {what}"] = np.isin(
+            np.arange(len(column)), np.repeat(np.arange(len(column)), count)[refused])
+        columns.append((count, flat))
+    _raise_first(rules, layer_start,
+                 lambda g: f"{kinds[g]} on qubits {qubits[g]} with params {params[g]}")
+    (count_q, flat_q), (count_p, flat_p) = columns
+    q = np.full((len(kind), 2), -1, dtype=np.int64)
+    q[np.arange(2) < count_q[:, None]] = _array(flat_q, np.int64, 2 ** 62, -2)
+    p = np.zeros((len(kind), 3))
+    p[np.arange(3) < count_p[:, None]] = _array(flat_p, float, sys.float_info.max, math.inf)
+    return kind, q, p, layer_start
 
 
 _ARRAYS = ("kind", "qubits", "params", "layer_start")
@@ -331,11 +373,7 @@ class Circuit:
     __slots__ = ("n", *_ARRAYS, "id", "meta")
 
     def __init__(self, n: int, layers=(), id: str | None = None, meta: dict | None = None):
-        layers = [tuple(layer) for layer in layers]
-        ops = [op for layer in layers for op in layer]
-        self._init(n, [KIND_CODE[op.kind] for op in ops], [(*op.qubits, -1)[:2] for op in ops],
-                   [(*op.params, 0.0, 0.0, 0.0)[:3] for op in ops],
-                   np.cumsum([0, *map(len, layers)]), id, meta)
+        self._init(n, *_decode(layers), id, meta)
 
     @classmethod
     def from_arrays(cls, n: int, kind, qubits, params, layer_start,
@@ -359,7 +397,7 @@ class Circuit:
             getattr(self, name).flags.writeable = False
         if id is None:
             # Plain floats and ints, so that numpy scalars name the same circuit.
-            spec = [[(k, list(p), list(q)) for k, p, q in layer] for layer in self.rows()]
+            spec = [[(k, list(p), list(q)) for k, p, q in layer] for layer in self.layers]
             id = hashlib.sha256(repr((self.n, spec)).encode()).hexdigest()[:12]
         self.id = id
 
@@ -372,18 +410,14 @@ class Circuit:
     def __hash__(self):
         return hash((self.n, self.id))
 
-    def rows(self) -> list[list[tuple]]:
-        """Per layer, ``(kind, params, qubits)`` of each gate as Python scalars."""
-        rows = [(k, tuple(p[:GATE_NPARAMS[k]]), tuple(q[:GATE_ARITY[k]]))
-                for k, p, q in zip([KINDS[k] for k in self.kind.tolist()],
-                                   self.params.tolist(), self.qubits.tolist())]
-        b = self.layer_start.tolist()
-        return [rows[lo:hi] for lo, hi in zip(b, b[1:])]
-
     @property
     def layers(self) -> tuple[Layer, ...]:
-        """The gates as ``GateOp`` layers, built on every call."""
-        return tuple(tuple(GateOp(*r) for r in layer) for layer in self.rows())
+        """Each layer's gates as ``GateOp``s of Python scalars, built on every call."""
+        ops = [GateOp(k, tuple(p[:GATE_NPARAMS[k]]), tuple(q[:GATE_ARITY[k]]))
+               for k, p, q in zip([KINDS[k] for k in self.kind.tolist()],
+                                  self.params.tolist(), self.qubits.tolist())]
+        b = self.layer_start.tolist()
+        return tuple(tuple(ops[lo:hi]) for lo, hi in zip(b, b[1:]))
 
     @property
     def depth(self) -> int:
@@ -463,21 +497,6 @@ def apply_gate(mat: np.ndarray, psi: np.ndarray, qubits: tuple[int, ...], n: int
     g = mat.reshape((2,) * (2 * k))
     out = np.tensordot(g, psi, axes=(list(range(k, 2 * k)), list(qubits)))
     return np.moveaxis(out, range(k), qubits)
-
-
-def unitary_of(c: Circuit, max_n: int = 12) -> np.ndarray:
-    """Dense unitary of the circuit (product of layer unitaries in time order)."""
-    if c.n > max_n:
-        raise CapacityError(f"n={c.n} exceeds dense limit {max_n}")
-    dim = 1 << c.n
-    u = np.eye(dim, dtype=complex).reshape((2,) * c.n + (dim,))
-    one_q = c.qubits[:, 1] < 0
-    mats = iter(gate_matrices_1q(c.kind[one_q], c.params[one_q]))
-    for layer in c.rows():
-        for kind, params, qubits in layer:
-            g = next(mats) if len(qubits) == 1 else gate_matrix(kind, params)
-            u = apply_gate(g, u, qubits, c.n)
-    return u.reshape(dim, dim)
 
 
 def equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:

@@ -116,6 +116,25 @@ def _require(cfg: dict, key: str, where: str = "config"):
     return cfg[key]
 
 
+def _checked(value, name: str, least: int = 1, many: bool = False):
+    """``value``, a JSON integer of at least ``least`` (1 for a count, 0 for a
+    seed), or with ``many`` a list of them: ``int()`` would truncate 1.7 and
+    read ``true`` and ``"2"``, and bool is an int."""
+    values = value if many and isinstance(value, list) else [value]
+    if many != isinstance(value, list) or any(type(v) is not int or v < least for v in values):
+        what = f"{'positive' if least else 'non-negative'} integer"
+        raise ConfigError(f"{name} must be {f'a list of {what}s' if many else f'a {what}'}, "
+                          f"got {json.dumps(value)}")
+    return value
+
+
+def _integer(cfg: dict, key: str, where: str, default=None, least: int = 1,
+             many: bool = False):
+    """``cfg[key]``, or ``default`` if absent (required without one), checked."""
+    value = _require(cfg, key, where) if default is None else cfg.get(key, default)
+    return _checked(value, f"{where}: {key!r}", least, many)
+
+
 def _coupling_from(obj, n: int) -> CouplingGraph:
     from mirrorbench.circuits import CouplingGraph
 
@@ -133,12 +152,13 @@ def _hamiltonian_from(spec: dict) -> PauliSumHamiltonian:
 
     kind = _require(spec, "type", "hamiltonian")
     if kind == "tfim":
-        return algos.tfim(int(_require(spec, "n", "hamiltonian")))
+        return algos.tfim(_integer(spec, "n", "hamiltonian"))
     if kind == "heisenberg":
-        return algos.heisenberg(int(_require(spec, "n", "hamiltonian")))
+        return algos.heisenberg(_integer(spec, "n", "hamiltonian"))
     if kind == "max3sat":
-        return algos.max3sat(int(_require(spec, "n", "hamiltonian")),
-                             int(spec.get("r", 2)), int(spec.get("seed", 0)))
+        return algos.max3sat(_integer(spec, "n", "hamiltonian"),
+                             _integer(spec, "r", "hamiltonian", 2),
+                             _integer(spec, "seed", "hamiltonian", 0, least=0))
     if kind == "file":
         path = _require(spec, "path", "hamiltonian")
         with _decoding(path), open(path, encoding="utf-8") as fp:
@@ -163,26 +183,24 @@ def _input_circuits(cfg: dict) -> list[Circuit]:
     family = _require(inputs, "family", "inputs")
     kind = _require(family, "kind", "inputs.family")
     if kind == "brickwork":
-        return [algos.brickwork_u3_cz(int(_require(family, "n", "family")),
-                                      int(_require(family, "depth", "family")),
-                                      int(family.get("seed", 0)))]
+        return [algos.brickwork_u3_cz(_integer(family, "n", "family"),
+                                      _integer(family, "depth", "family"),
+                                      _integer(family, "seed", "family", 0, least=0))]
     if kind == "qft":
-        return [algos.qft_circuit(int(_require(family, "n", "family")))]
+        return [algos.qft_circuit(_integer(family, "n", "family"))]
     if kind == "qaoa":
-        return [algos.qaoa_circuit(int(_require(family, "n", "family")),
-                                   int(family.get("seed", 0)),
-                                   int(family.get("reps", 1)))]
+        return [algos.qaoa_circuit(_integer(family, "n", "family"),
+                                   _integer(family, "seed", "family", 0, least=0),
+                                   _integer(family, "reps", "family", 1))]
     if kind == "trotter":
         h = _hamiltonian_from(_require(family, "hamiltonian", "family"))
-        orders = family.get("orders", [family.get("order", 1)])
-        steps = family.get("steps_list", [family.get("steps", 1)])
+        orders = _integer(family, "orders", "family", [_integer(family, "order", "family", 1)],
+                          many=True)
+        steps = _integer(family, "steps_list", "family",
+                         [_integer(family, "steps", "family", 1)], many=True)
         t = float(family.get("time", 1.0))
-        circs = []
-        for order in orders:
-            for m in steps:
-                c = algos.trotter_circuit(h, algos.TrotterSpec(int(order), int(m), t))
-                circs.append(c)
-        return circs
+        return [algos.trotter_circuit(h, algos.TrotterSpec(order, m, t))
+                for order in orders for m in steps]
     raise ConfigError(f"unknown circuit family {kind!r}")
 
 
@@ -199,6 +217,7 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"bad benchmark_type {bt!r}")
     if "seed" not in cfg:
         raise ConfigError("config: 'seed' is mandatory (reproducibility)")
+    _checked(cfg["seed"], "config: 'seed'", least=0)
     _noise(cfg)  # simulate and oracle read it; generate rejects it before writing
     return cfg
 
@@ -217,8 +236,8 @@ def _sampling_from(cfg: dict) -> SamplingParams:
     from mirrorbench.mirror import SamplingParams
 
     s = cfg.get("sampling", {})
-    return SamplingParams(int(s.get("m1", 10)), int(s.get("m2", 10)),
-                          int(s.get("m3", 10)), int(cfg["seed"]))
+    return SamplingParams(*(_integer(s, m, "sampling", 10) for m in ("m1", "m2", "m3")),
+                          cfg["seed"])
 
 
 def _noise(cfg: dict) -> NoiseModel:
@@ -252,10 +271,7 @@ def _build(cfg: dict) -> BenchmarkSuite:
     )
     from mirrorbench.transpile import TranspileConfig
 
-    shots = cfg.get("shots", 1000)
-    if type(shots) is not int or shots < 1:  # bool is an int, and int() truncates
-        raise ConfigError(f"config: 'shots' must be a positive integer, "
-                          f"got {json.dumps(shots)}")
+    shots = _integer(cfg, "shots", "config", 1000)
     with _config_values():
         circuits = _input_circuits(cfg)
         params = _sampling_from(cfg)
@@ -271,12 +287,13 @@ def _build(cfg: dict) -> BenchmarkSuite:
                                       max(c.n for c in circuits))
             tcfg = TranspileConfig(coupling,
                                    float(tc.get("approximation_degree", 1.0)),
-                                   int(cfg["seed"]))
-            return build_full_stack(circuits, tcfg, int(tc.get("reps", 1)),
+                                   cfg["seed"])
+            return build_full_stack(circuits, tcfg, _integer(tc, "reps", "transpile", 1),
                                     params, shots)
         shapes_cfg = _require(cfg, "shapes")
-        shapes = ShapeSpec(tuple(tuple(s) for s in shapes_cfg["shapes"]),
-                           int(shapes_cfg.get("samples_per_shape", 30)))
+        shapes = ShapeSpec(tuple(tuple(_checked(p, "shapes: 'shapes' entry", many=True))
+                                 for p in _require(shapes_cfg, "shapes", "shapes")),
+                           _integer(shapes_cfg, "samples_per_shape", "shapes", 30))
         return build_subcircuit(circuits, shapes, params, shots)
 
 
@@ -363,7 +380,7 @@ def simulate(out_dir, fake_uniform, jobs):
     cfg, manifest = _experiment(out_dir)
     nm = _noise(cfg)
     shots = manifest.sampling["shots"]
-    master = int(cfg["seed"])
+    master = cfg["seed"]
     mirrors = manifest.mirror_records()
 
     if fake_uniform:
@@ -432,7 +449,7 @@ def _analyze_records(out_dir: str, bootstrap: int = 200) -> list[FidelityRecord]
                 by_kind[r["kind"]].append((tables[r["id"]], r["target_bitstring"]))
         shape = tuple(b["shape"]) if "shape" in b else None
         rec = estimate_benchmark(b["id"], b["width"], b["depth"], by_kind,
-                                 bootstrap=bootstrap, seed=int(cfg["seed"]),
+                                 bootstrap=bootstrap, seed=cfg["seed"],
                                  shape=shape)
         records.append(rec)
     return records

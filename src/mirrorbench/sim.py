@@ -2,8 +2,8 @@
 
 Noise semantics, applied in one place: ``_noisy_program`` turns a circuit
 and a noise model into the steps the device runs, and the shot sampler, the
-density-matrix oracles, ``noisy_unitary`` and ``statevector`` all consume
-those steps.
+density-matrix oracles and the pure evolutions (``statevector``,
+``noisy_unitary`` and ``unitary_of``) all consume those steps.
 
 * Depolarizing after each gate on the gate's k qubits:
   ``rho -> (1 - lam) rho + lam I/2^k (x) Tr_k rho``, i.e. a uniform Pauli
@@ -60,7 +60,6 @@ from mirrorbench.circuits import (
     apply_gate,
     gate_matrices_1q,
     gate_matrix,
-    unitary_of,
 )
 from mirrorbench.core import NoiseModel
 from mirrorbench.shots import ShotTable, derive_seed, fake_uniform_shots
@@ -77,6 +76,7 @@ __all__ = [
     "process_fidelity_channel_vs_unitary",
     "process_fidelity_unitaries",
     "noisy_unitary",
+    "unitary_of",
     "derive_seed",
 ]
 
@@ -136,7 +136,7 @@ def _noisy_program(c: Circuit, nm: NoiseModel):
             mats[sel] = rot @ mats[sel]
     mats = iter(mats)
     idle = gate_matrix("RZ", (nm.theta_idle,)) if nm.theta_idle else None
-    for layer in c.rows():
+    for layer in c.layers:
         steps = [(next(mats), qubits, nm.lam_1q) if len(qubits) == 1
                  else (gate_matrix(kind, params), qubits, nm.lam_2q)
                  for kind, params, qubits in layer]
@@ -474,6 +474,11 @@ def noisy_unitary(c: Circuit, nm: NoiseModel) -> np.ndarray:
     return _evolve_pure(u, c, nm).reshape(dim, dim)
 
 
+def unitary_of(c: Circuit) -> np.ndarray:
+    """The circuit's dense unitary ``U_L @ ... @ U_2 @ U_1``, layer 1 first."""
+    return noisy_unitary(c, NoiseModel.noiseless())
+
+
 # The process fidelity evolves this many Choi columns through the channel at
 # a time, a 16 MB density batch at n = 6. At n = 5, batches of 64 and of 1024
 # columns were both slower.
@@ -507,5 +512,6 @@ def process_fidelity_channel_vs_unitary(u_target: np.ndarray, c: Circuit,
 def exact_process_fidelity(c: Circuit, nm: NoiseModel, max_n: int = 6) -> float:
     """Eq.-1 oracle: fidelity of the circuit's noisy channel to its own ideal
     unitary. Deterministic channel composition; readout error excluded."""
-    u = unitary_of(c, max_n=max_n)
-    return process_fidelity_channel_vs_unitary(u, c, nm, max_n=max_n)
+    if c.n > max_n:
+        raise CapacityError(f"n={c.n} exceeds oracle limit {max_n}")
+    return process_fidelity_channel_vs_unitary(unitary_of(c), c, nm, max_n=max_n)

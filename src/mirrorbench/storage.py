@@ -4,8 +4,10 @@ reader and writer.
 Circuits are stored one per line as {id, n, layers: [[{kind, params, qubits}]]}
 so that suites with very wide or very many circuits stream without loading
 everything into memory. Angles are written as ``repr(float)``, which
-round-trips bit for bit. Every file a pipeline stage writes goes through
-``open_atomic``, so a failed stage leaves the previous file in place.
+round-trips bit for bit. A circuit read back goes through the one decoder of
+gate records in ``circuits`` and meets the same gate rules as a circuit built
+in code. Every file a pipeline stage writes goes through ``open_atomic``, so
+a failed stage leaves the previous file in place.
 
 The shot-table file lives in ``shots`` and the manifest in ``manifest``, so
 that ``analyze`` reads them without the circuit code; this module re-exports
@@ -19,17 +21,7 @@ from typing import IO, Iterable, Iterator
 
 import numpy as np
 
-from mirrorbench.circuits import (
-    Circuit,
-    ContractError,
-    GATE_ARITY,
-    GATE_NPARAMS,
-    GateOp,
-    KIND_ARITY,
-    KIND_CODE,
-    KIND_NPARAMS,
-    KINDS,
-)
+from mirrorbench.circuits import GATE_ARITY, GATE_NPARAMS, KINDS, Circuit, ContractError
 from mirrorbench.core import SchemaError, open_atomic
 from mirrorbench.manifest import Manifest, read_manifest, write_manifest
 from mirrorbench.shots import read_shot_tables, write_shot_tables
@@ -93,21 +85,9 @@ def _jsonable_meta(meta: dict) -> dict:
     return {k: conv(v) for k, v in meta.items()}
 
 
-def _gate_error(g) -> str | None:
-    """Why one decoded gate record is malformed on its own, if it is."""
-    if not isinstance(g, dict) or not {"kind", "params", "qubits"} <= g.keys():
-        return "gate must have kind/params/qubits"
-    try:
-        GateOp(str(g["kind"]), tuple(float(v) for v in g["params"]),
-               tuple(int(q) for q in g["qubits"]))
-    except (ContractError, TypeError, ValueError, OverflowError) as e:
-        return str(e)
-    return None
-
-
 def circuit_from_json(line: str, *, path: str = "$") -> Circuit:
-    """Decode one circuit line into the arrays at once; a malformed gate gives a
-    ``SchemaError`` whose path is that gate's ``layers[i][j]``."""
+    """Decode one circuit line; a malformed gate gives a ``SchemaError`` whose
+    path is that gate's ``layers[i][j]``."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as e:
@@ -118,34 +98,18 @@ def circuit_from_json(line: str, *, path: str = "$") -> Circuit:
         if key not in obj:
             raise SchemaError(f"missing key {key!r}", path)
     n, layers = obj["n"], obj["layers"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise SchemaError("n must be a positive integer", f"{path}.n")
     if not isinstance(layers, list) or not all(isinstance(l, list) for l in layers):
         raise SchemaError("layers must be a list of gate lists", f"{path}.layers")
-    gates = [g for layer in layers for g in layer]
-    try:
-        kind = np.array([KIND_CODE[g["kind"]] for g in gates], dtype=np.int8)
-        arrays = []
-        for key, counts, width, pad in (("qubits", KIND_ARITY, 2, -1),
-                                        ("params", KIND_NPARAMS, 3, 0.0)):
-            if np.any(np.array([len(g[key]) for g in gates], dtype=int) != counts[kind]):
-                raise ValueError(f"wrong number of {key}")
-            out = np.full((len(gates), width), pad)
-            out[np.arange(width) < counts[kind][:, None]] = [v for g in gates for v in g[key]]
-            arrays.append(out)
-    except (KeyError, TypeError, ValueError, OverflowError):
-        # Find the first malformed record, one gate at a time.
-        for i, layer in enumerate(layers):
-            for j, g in enumerate(layer):
-                if (error := _gate_error(g)) is not None:
-                    raise SchemaError(error, f"{path}.layers[{i}][{j}]") from None
-        raise SchemaError("gate qubits and params must be lists", f"{path}.layers") from None
+    # A gate that is no object, or lacks a key, becomes a record the decoder rejects.
+    records = [[(g.get("kind"), g.get("params"), g.get("qubits")) if isinstance(g, dict)
+                else (None, None, None) for g in layer] for layer in layers]
     meta = obj.get("meta", {})
     if not isinstance(meta, dict):
         raise SchemaError("meta must be an object", f"{path}.meta")
     try:
-        return Circuit.from_arrays(n, kind, *arrays, np.cumsum([0, *map(len, layers)]),
-                                   str(obj["id"]), dict(meta))
+        return Circuit(n, records, str(obj["id"]), dict(meta))
     except ContractError as e:
         at = "" if e.at is None else ".layers[{}][{}]".format(*e.at)
         raise SchemaError(str(e), path + at) from None

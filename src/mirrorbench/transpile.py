@@ -21,8 +21,8 @@ from mirrorbench.circuits import (
     ContractError,
     CouplingGraph,
     GateOp,
-    KIND_CODE,
     NATIVE_KINDS,
+    _decode,
     gate_matrices_1q,
     gate_matrix,
     layerize,
@@ -121,10 +121,8 @@ def _fuse_1q_runs(n: int, flat: list[GateOp]) -> list[GateOp]:
     pending: list[np.ndarray | None] = [None] * n
     out: list[GateOp] = []
     # The 1q matrices of the whole list, built in one call and used in order.
-    one_q = [op for op in flat if len(op.qubits) == 1]
-    kinds = np.array([KIND_CODE[op.kind] for op in one_q], dtype=int)
-    params = np.array([(*op.params, 0.0, 0.0, 0.0)[:3] for op in one_q], dtype=float)
-    mats = iter(gate_matrices_1q(kinds, params.reshape(-1, 3)))
+    kinds, _, params, _ = _decode([[op for op in flat if len(op.qubits) == 1]])
+    mats = iter(gate_matrices_1q(kinds, params))
 
     def flush(q: int):
         if pending[q] is not None:

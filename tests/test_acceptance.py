@@ -35,7 +35,6 @@ from mirrorbench.circuits import (
     equal_up_to_phase,
     inverse,
     permutation_matrix,
-    unitary_of,
 )
 from mirrorbench.mirror import SamplingParams, build_suite
 from mirrorbench.qasm import QasmError, UnsupportedGateError, parse_qasm, serialize_qasm
@@ -48,6 +47,7 @@ from mirrorbench.sim import (
     noisy_distribution,
     process_fidelity_channel_vs_unitary,
     sample_shots,
+    unitary_of,
 )
 from mirrorbench.transpile import TranspileConfig, decompose_to_basis, transpile
 

@@ -25,8 +25,8 @@ from mirrorbench.circuits import (
     GateOp,
     equal_up_to_phase,
     layerize,
-    unitary_of,
 )
+from mirrorbench.sim import unitary_of
 
 
 def dft_matrix(n: int) -> np.ndarray:

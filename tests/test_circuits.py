@@ -24,9 +24,8 @@ from mirrorbench.circuits import (
     layerize,
     permutation_matrix,
     u3_params_from_matrix,
-    unitary_of,
 )
-from mirrorbench.sim import NoiseModel, sample_shots
+from mirrorbench.sim import NoiseModel, sample_shots, unitary_of
 
 RNG = np.random.default_rng(1234)
 
@@ -48,28 +47,6 @@ def random_native_circuit(rng, n, n_ops, two_q_kinds=("CZ",)):
             ops.append(GateOp("U3", tuple(rng.uniform(-7, 7, 3)),
                               (int(rng.integers(n)),)))
     return Circuit(n, layerize(n, ops))
-
-
-class TestGateOp:
-    def test_arity_mismatch(self):
-        with pytest.raises(ContractError):
-            GateOp("CZ", (), (0,))
-
-    def test_duplicate_qubits(self):
-        with pytest.raises(ContractError):
-            GateOp("CX", (), (1, 1))
-
-    def test_param_count(self):
-        with pytest.raises(ContractError):
-            GateOp("RZ", (), (0,))
-
-    def test_nonfinite_angle(self):
-        with pytest.raises(ContractError):
-            GateOp("RZ", (float("nan"),), (0,))
-
-    def test_c1q_index_range(self):
-        with pytest.raises(ContractError):
-            GateOp("C1Q", (24.0,), (0,))
 
 
 class TestCircuit:

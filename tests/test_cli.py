@@ -71,6 +71,66 @@ ERROR_CASES = {
 }
 
 
+def with_changes(base, changes):
+    """``base`` with ``changes`` merged in, nested dicts key by key."""
+    out = dict(base)
+    for key, value in changes.items():
+        out[key] = with_changes(base.get(key, {}), value) if isinstance(value, dict) else value
+    return out
+
+
+FULL_STACK_CONFIG = {
+    "benchmark_type": "full_stack",
+    "inputs": {"family": {"kind": "qft", "n": 3}},
+    "transpile": {"coupling": "line", "reps": 1},
+    "sampling": {"m1": 2, "m2": 2, "m3": 2},
+    "shots": 100,
+    "seed": 3,
+}
+TROTTER_CONFIG = {
+    "benchmark_type": "low_level",
+    "compile_to_native": True,
+    "inputs": {"family": {"kind": "trotter",
+                          "hamiltonian": {"type": "max3sat", "n": 3, "r": 2, "seed": 0},
+                          "orders": [1], "steps_list": [1]}},
+    "sampling": {"m1": 2, "m2": 2, "m3": 2},
+    "seed": 1,
+}
+SUBCIRCUIT_CONFIG = {
+    "benchmark_type": "subcircuit",
+    "inputs": {"family": {"kind": "brickwork", "n": 4, "depth": 4, "seed": 0}},
+    "shapes": {"shapes": [[2, 2]], "samples_per_shape": 1},
+    "sampling": {"m1": 2, "m2": 2, "m3": 2},
+    "seed": 2,
+}
+# name -> (config whose one value int() would have truncated or coerced,
+# the key the error names). "all-at-once" is a full-stack config that
+# generated a width-3 suite with m1 = m2 = 1 and m3 = 2.
+BAD_INTEGERS = {
+    "all-at-once": (with_changes(FULL_STACK_CONFIG, {
+        "inputs": {"family": {"n": 3.9}}, "transpile": {"reps": 1.5},
+        "sampling": {"m1": 1.7, "m2": True, "m3": "2"}}), "'n'"),
+    "transpile-reps": (with_changes(FULL_STACK_CONFIG, {"transpile": {"reps": 1.5}}), "'reps'"),
+    "m1": (with_changes(FULL_STACK_CONFIG, {"sampling": {"m1": 1.7}}), "'m1'"),
+    "m2": (with_changes(FULL_STACK_CONFIG, {"sampling": {"m2": True}}), "'m2'"),
+    "m3": (with_changes(FULL_STACK_CONFIG, {"sampling": {"m3": "2"}}), "'m3'"),
+    "seed": (with_changes(FULL_STACK_CONFIG, {"seed": 3.5}), "'seed'"),
+    "depth": (with_changes(BRICK_CONFIG, {"inputs": {"family": {"depth": 6.5}}}), "'depth'"),
+    "family-seed": (with_changes(BRICK_CONFIG, {"inputs": {"family": {"seed": -1}}}), "'seed'"),
+    "qaoa-reps": (with_changes(BRICK_CONFIG, {"inputs": {"family": {
+        "kind": "qaoa", "reps": True}}}), "'reps'"),
+    "hamiltonian-r": (with_changes(TROTTER_CONFIG, {"inputs": {"family": {
+        "hamiltonian": {"r": 2.5}}}}), "'r'"),
+    "orders": (with_changes(TROTTER_CONFIG, {"inputs": {"family": {"orders": [1.0]}}}),
+               "'orders'"),
+    "steps-list": (with_changes(TROTTER_CONFIG, {"inputs": {"family": {"steps_list": [1, "2"]}}}),
+                   "'steps_list'"),
+    "shapes": (with_changes(SUBCIRCUIT_CONFIG, {"shapes": {"shapes": [[2, 1.5]]}}), "'shapes'"),
+    "samples-per-shape": (with_changes(SUBCIRCUIT_CONFIG, {"shapes": {
+        "samples_per_shape": 0}}), "'samples_per_shape'"),
+}
+
+
 def read_csv(path):
     with open(path, newline="") as fp:
         return list(csv.DictReader(fp))
@@ -459,6 +519,14 @@ class TestSubcircuitConfig:
 
 
 class TestFullStackConfig:
+    @pytest.mark.parametrize("cfg, key", BAD_INTEGERS.values(), ids=BAD_INTEGERS.keys())
+    def test_non_integer_count_exits_2_naming_it(self, runner, tmp_path, cfg, key):
+        out = str(tmp_path / "exp")
+        result = run_err(runner, ["generate", "--config", write_config(tmp_path, cfg),
+                                  "--out", out], 2)
+        assert key in result.stderr
+        assert not os.path.exists(out)
+
     def test_full_stack_pipeline_with_jobs(self, runner, tmp_path):
         cfg = {
             "benchmark_type": "full_stack",

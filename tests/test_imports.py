@@ -116,6 +116,13 @@ def test_simulate_runs_with_one_blas_thread_unless_user_sets_it(experiment, user
         assert threads in (None, 1)
 
 
+def test_conftest_sets_blas_threads_before_numpy_loads():
+    import conftest
+
+    assert not conftest.NUMPY_LOADED_BEFORE
+    assert all(os.environ.get(v) for v in conftest.BLAS_THREAD_VARS)
+
+
 def test_public_names_resolve_to_their_defining_objects():
     # A loaded submodule does not shadow the public function of its name.
     importlib.import_module("mirrorbench.transpile")

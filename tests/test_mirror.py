@@ -8,7 +8,6 @@ from mirrorbench.circuits import (
     ContractError,
     GateOp,
     PAULI_MATS,
-    unitary_of,
 )
 from mirrorbench.mirror import (
     SamplingParams,
@@ -17,7 +16,7 @@ from mirrorbench.mirror import (
     make_m2,
     make_m3,
 )
-from mirrorbench.sim import NoiseModel, ideal_distribution, noisy_unitary
+from mirrorbench.sim import NoiseModel, ideal_distribution, noisy_unitary, unitary_of
 from mirrorbench.storage import circuit_to_json
 
 from tests.test_circuits import random_native_circuit

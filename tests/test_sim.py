@@ -26,7 +26,6 @@ from mirrorbench.circuits import (
     equal_up_to_phase,
     gate_matrix,
     layerize,
-    unitary_of,
 )
 from mirrorbench.sim import (
     NoiseModel,
@@ -39,6 +38,7 @@ from mirrorbench.sim import (
     noisy_unitary,
     process_fidelity_unitaries,
     sample_shots,
+    unitary_of,
 )
 
 from tests.test_circuits import random_native_circuit
@@ -301,8 +301,8 @@ class TestNoisyProgram:
 
 
 class TestStepConsumersAgree:
-    """The consumers of the noisy program agree with each other and with the
-    noiseless reference ``unitary_of``."""
+    """The consumers of the noisy program agree with each other, and the
+    noiseless ones with a dense unitary built gate by gate (``embed``)."""
 
     EXAMPLES = 20
     SHOTS = 20_000
@@ -344,7 +344,12 @@ class TestStepConsumersAgree:
         n = int(rng.integers(1, 5))
         c = random_circuit(rng, n, int(rng.integers(1, 13)))
         psi = sim.statevector(c).ravel()
-        assert np.abs(psi - unitary_of(c)[:, 0]).max() <= 1e-12
+        u = unitary_of(c)
+        assert np.abs(psi - u[:, 0]).max() <= 1e-12
+        reference = np.eye(1 << n, dtype=complex)
+        for op in c.ops():
+            reference = embed(op.matrix(), op.qubits, n) @ reference
+        assert np.abs(u - reference).max() <= 1e-12
 
 
 class TestFakeUniform:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mirrorbench.algos import brickwork_u3_cz, qft_circuit
-from mirrorbench.circuits import GATE_ARITY, GATE_NPARAMS, KINDS, Circuit, GateOp
+from mirrorbench.circuits import GATE_ARITY, GATE_NPARAMS, KINDS, Circuit, ContractError, GateOp
 from mirrorbench.sim import ShotTable
 from mirrorbench.storage import (
     Manifest,
@@ -67,7 +67,9 @@ def gate(kind, qubits, params=()):
     return {"kind": kind, "params": list(params), "qubits": list(qubits)}
 
 
-# name -> (layers of an n=2 circuit with one bad gate, that gate's (layer, position))
+# name -> (layers of an n=2 circuit with one bad gate, that gate's (layer, position)).
+# Each is rejected at the same gate when read from JSON and when given to
+# Circuit as GateOps.
 BAD_GATES = {
     "unknown-kind": ([[gate("X", [0])], [gate("FOO", [1])]], (1, 0)),
     "wrong-arity": ([[gate("CZ", [0])]], (0, 0)),
@@ -78,6 +80,18 @@ BAD_GATES = {
     "c1q-index-1.5": ([[], [gate("X", [1]), gate("C1Q", [0], [1.5])]], (1, 1)),
     "out-of-range-qubit": ([[gate("CZ", [0, 5])]], (0, 0)),
     "layer-collision": ([[gate("X", [1])], [gate("X", [0]), gate("SX", [0])]], (1, 1)),
+    # Records that truncating or coercing would turn into valid gates.
+    "cz-three-qubits": ([[gate("CZ", [0, 1, 2])]], (0, 0)),
+    "u3-four-params": ([[gate("X", [1]), gate("U3", [0], [0.1, 0.2, 0.3, 0.4])]], (0, 1)),
+    "rz-extra-zero": ([[gate("RZ", [0], [0.5, 0.0])]], (0, 0)),
+    "half-qubit": ([[gate("X", [0.5])]], (0, 0)),
+    "fractional-qubit": ([[gate("X", [0])], [gate("SX", [0]), gate("X", [1.7])]], (1, 1)),
+    "bool-qubit": ([[gate("X", [True])]], (0, 0)),
+    "bool-param": ([[gate("RZ", [0], [True])]], (0, 0)),
+    "string-param": ([[gate("RZ", [0], ["1"])]], (0, 0)),
+    # Ints too large to store.
+    "huge-qubit": ([[gate("X", [0]), gate("X", [10 ** 30])]], (0, 1)),
+    "huge-param": ([[gate("RZ", [0], [10 ** 400])]], (0, 0)),
 }
 
 
@@ -111,6 +125,25 @@ class TestCircuitJsonl:
         with pytest.raises(SchemaError) as e:
             circuit_from_json(line, path="$[3]")
         assert e.value.path == "$[3].layers[{}][{}]".format(*at)
+
+    @pytest.mark.parametrize("layers, at", [
+        ([[gate("X", [0]), {"kind": "X", "params": []}]], (0, 1)),
+        ([[], [gate("X", [0]), 3]], (1, 1)),
+        ([[{"kind": "X", "params": [], "qubits": 0}]], (0, 0)),
+    ], ids=["missing-key", "not-an-object", "qubits-not-a-list"])
+    def test_gate_that_is_no_record_carries_json_path(self, layers, at):
+        line = json.dumps({"id": "x", "n": 2, "layers": layers})
+        with pytest.raises(SchemaError) as e:
+            circuit_from_json(line)
+        assert e.value.path == "$.layers[{}][{}]".format(*at)
+
+    @pytest.mark.parametrize("layers, at", BAD_GATES.values(), ids=BAD_GATES.keys())
+    def test_gate_op_layers_fail_at_same_gate(self, layers, at):
+        ops = [[GateOp(g["kind"], tuple(g["params"]), tuple(g["qubits"])) for g in layer]
+               for layer in layers]
+        with pytest.raises(ContractError) as e:
+            Circuit(2, ops)
+        assert e.value.at == at
 
     def test_invalid_json(self):
         with pytest.raises(SchemaError):

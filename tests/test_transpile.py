@@ -12,8 +12,8 @@ from mirrorbench.circuits import (
     equal_up_to_phase,
     gate_matrix,
     permutation_matrix,
-    unitary_of,
 )
+from mirrorbench.sim import unitary_of
 from mirrorbench.transpile import (
     TranspileConfig,
     approximate_prune,
