@@ -145,8 +145,9 @@ def build_full_stack(circuits: list[Circuit], cfg: TranspileConfig, reps: int,
 def _connected_subset(pairs: np.ndarray, active: list[int], w: int, rng) -> list[int]:
     """Random connected w-subset on the graph of the window's 2q gates (``pairs``).
 
-    Falls back to window-active qubits, then to arbitrary qubits, when the
-    graph cannot grow a connected component of size w.
+    Falls back to window-active qubits, then to the smallest other qubits
+    (all below ``w``), when the graph cannot grow a connected component of
+    size w. Every qubit returned is below the circuit's width.
     """
     adj: dict[int, set[int]] = {q: set() for q in active}
     for a, b in pairs.tolist():
@@ -166,16 +167,13 @@ def _connected_subset(pairs: np.ndarray, active: list[int], w: int, rng) -> list
                 {x for q in subset for x in adj.get(q, ())} - subset)
         if len(subset) == w:
             return sorted(subset)
-    # fall back to active qubits, topped up with arbitrary ones
+    # fall back to active qubits, topped up with the smallest others
     subset = set()
     act = list(active)
     while len(subset) < w and act:
         subset.add(int(act.pop(rng.integers(len(act)))))
-    rest = [q for q in range(max(max(subset, default=0) + 1, w) + 10)
-            if q not in subset]
-    while len(subset) < w:
-        subset.add(rest.pop(0))
-    return sorted(subset)
+    rest = [q for q in range(w) if q not in subset]
+    return sorted(subset.union(rest[:w - len(subset)]))
 
 
 def snip(c: Circuit, w: int, d: int, rng) -> Circuit:
@@ -198,11 +196,6 @@ def snip(c: Circuit, w: int, d: int, rng) -> Circuit:
     else:
         active = np.unique(qubits[qubits >= 0]).tolist()
         subset = _connected_subset(qubits[qubits[:, 1] >= 0], active, w, rng)
-        subset = [q for q in subset if q < c.n]
-        extra = [q for q in range(c.n) if q not in subset]
-        while len(subset) < w:
-            subset.append(extra.pop(int(rng.integers(len(extra)))))
-        subset = sorted(subset[:w])
     relabel = np.full(c.n, -1)
     relabel[subset] = np.arange(w)
     used = qubits >= 0

@@ -385,8 +385,8 @@ class Circuit:
         return c
 
     def _init(self, n, kind, qubits, params, layer_start, id, meta):
-        if n < 1:
-            raise ContractError("circuit needs at least one qubit")
+        if not 1 <= n < 2 ** 31:
+            raise ContractError(f"circuit width {n} is not in 1..2**31 - 1")
         self.n, self.meta = int(n), {} if meta is None else meta
         self.kind = np.asarray(kind, dtype=np.int8)
         self.qubits = np.asarray(qubits, dtype=np.int64).reshape(-1, 2)
@@ -440,16 +440,20 @@ def layerize(n: int, ops, *, barriers=()) -> tuple[Layer, ...]:
     """Greedy as-soon-as-possible packing of a flat op list into layers.
 
     ``barriers`` is an optional set of positions in ``ops`` before which a
-    hard layer boundary is forced.
+    hard layer boundary is forced. The ops first meet the ``Circuit`` rules,
+    each as a layer of its own, so the ``ContractError`` of op ``i`` has
+    ``at == (i, 0)``.
     """
+    ops = list(ops)
+    Circuit(n, [[op] for op in ops], id="")
     barriers = set(barriers)
-    frontier = [0] * n
+    frontier = {}  # qubit -> its first free layer; a wide register costs nothing
     layers: list[list[GateOp]] = []
     floor = 0
     for i, op in enumerate(ops):
         if i in barriers:
             floor = len(layers)
-        pos = max(floor, max(frontier[q] for q in op.qubits))
+        pos = max(floor, max(frontier.get(q, 0) for q in op.qubits))
         while len(layers) <= pos:
             layers.append([])
         layers[pos].append(op)

@@ -91,12 +91,14 @@ def _some(ids: list[str]) -> str:
 
 @contextlib.contextmanager
 def _decoding(path: str):
-    """Bytes in ``path`` that are not UTF-8 end the stage with a ConfigError
-    naming the file."""
+    """Bytes in ``path`` that are not UTF-8, or QASM that does not parse, end
+    the stage with a ConfigError naming the file."""
     try:
         yield
     except UnicodeDecodeError as e:
         raise ConfigError(f"{path}: not UTF-8 text ({e.reason})") from None
+    except QasmError as e:
+        raise ConfigError(f"{path}: {e}") from None
 
 
 @contextlib.contextmanager
@@ -308,7 +310,7 @@ class _ErrorBoundary(click.Group):
             return super().invoke(ctx)
         except click.UsageError as e:
             code, message = e.exit_code, f"usage error: {e.format_message()}"
-        except (ConfigError, ContractError, SchemaError, QasmError) as e:
+        except (ConfigError, ContractError, SchemaError) as e:
             code, message = EXIT_CONFIG, f"config error: {e}"
         except MissingDataError as e:
             code, message = EXIT_MISSING, f"missing data: {e}"

@@ -1,8 +1,16 @@
 """OpenQASM 2.0 subset parser and serializer.
 
-Supported statements: ``OPENQASM``, ``include``, a single ``qreg``, ``creg``,
-the gates ``x sx h rz cz cx swap cp cu1 u3 u U``, ``barrier``, and terminal
-``measure``. Every parse error carries the offending line and column.
+Every statement has the form ``name [(params)] args [-> args] ;``. An
+argument is a whole register ``reg`` or its element ``reg[i]``, ``i`` an
+integer literal; a parameter is an angle expression of numbers, ``pi``,
+``+ - * /`` and parentheses. The statements are ``OPENQASM`` and ``include``
+(skipped), one ``qreg``, any ``creg`` under a new name, the gates ``x sx h rz
+cz cx swap cp cu1 u3 u U`` on elements of the qreg, ``barrier`` (a layer
+boundary) and, after the last gate, ``measure q[i] -> c[j]`` or ``measure q ->
+c``. Whole registers are arguments only of ``barrier`` and ``measure``. Gates
+meet the rules of ``Circuit``: qubit and parameter counts, distinct qubits in
+range, finite angles. Every error is a ``QasmError`` at the line and column of
+the offending token, or of the gate's name when a gate breaks a rule.
 """
 
 from __future__ import annotations
@@ -11,9 +19,8 @@ import re
 from dataclasses import dataclass
 
 from mirrorbench.circuits import (
-    GATE_ARITY,
-    GATE_NPARAMS,
     Circuit,
+    ContractError,
     GateOp,
     gate_matrix,
     layerize,
@@ -36,6 +43,8 @@ _GATE_NAMES = {
     "swap": "SWAP", "cp": "CP", "cu1": "CP", "u3": "U3", "u": "U3",
 }
 _QASM_NAME = {kind: name for name, kind in reversed(_GATE_NAMES.items())}
+_HEADERS = {"OPENQASM", "include"}
+_STATEMENTS = {"qreg", "creg", "barrier", "measure", *_HEADERS}
 
 _TOKEN_RE = re.compile(
     r"(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
@@ -55,25 +64,21 @@ class _Token:
     line: int
     col: int
 
+    def error(self, msg: str, cls=QasmError):
+        raise cls(msg, self.line, self.col)
+
 
 def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, col = 1, 1
-    pos = 0
+    tokens, line, line_start, pos = [], 1, 0, 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            raise QasmError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        tok = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, tok, line, col))
-        nl = tok.count("\n")
-        if nl:
-            line += nl
-            col = len(tok) - tok.rfind("\n")
-        else:
-            col += len(tok)
+            raise QasmError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
+        if m.lastgroup not in ("ws", "comment"):
+            tokens.append(_Token(m.lastgroup, m.group(), line, pos - line_start + 1))
+        if "\n" in m.group():
+            line += m.group().count("\n")
+            line_start = pos + m.group().rfind("\n") + 1
         pos = m.end()
     return tokens
 
@@ -83,33 +88,70 @@ class _Parser:
         self.toks = _tokenize(text)
         self.pos = 0
 
-    def _here(self) -> tuple[int, int]:
-        if self.pos < len(self.toks):
-            t = self.toks[self.pos]
-            return t.line, t.col
-        if self.toks:
-            t = self.toks[-1]
-            return t.line, t.col + len(t.text)
-        return 1, 1
-
-    def error(self, msg: str):
-        raise QasmError(msg, *self._here())
-
     def peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else None
 
     def next(self) -> _Token:
         t = self.peek()
         if t is None:
-            self.error("unexpected end of input")
+            last = self.toks[-1] if self.toks else _Token("", "", 1, 1)
+            raise QasmError("unexpected end of input", last.line, last.col + len(last.text))
         self.pos += 1
         return t
+
+    def accept(self, text: str) -> bool:
+        """Consume the next token if it reads ``text``."""
+        found = self.peek() is not None and self.peek().text == text
+        self.pos += found
+        return found
 
     def expect(self, text: str) -> _Token:
         t = self.next()
         if t.text != text:
-            raise QasmError(f"expected {text!r}, found {t.text!r}", t.line, t.col)
+            t.error(f"expected {text!r}, found {t.text!r}")
         return t
+
+    def statement(self):
+        """``name [(params)] args [-> args] ;`` as (name token, params, args,
+        targets), each argument a (register token, index or None) pair; a
+        header has no arguments, and an unknown name is unsupported."""
+        head, params, args, targets = self.next(), [], [], []
+        if head.kind != "name":
+            head.error(f"expected statement, found {head.text!r}")
+        if head.text in _HEADERS:
+            self.next()  # the version or the file name
+        elif head.text in _STATEMENTS or head.text.lower() in _GATE_NAMES:
+            if self.accept("("):
+                try:
+                    params = self.list_of(self.parse_expr)
+                except RecursionError:
+                    head.error("angle expression nested too deeply")
+                self.expect(")")
+            args = self.list_of(self.arg)
+            targets = self.list_of(self.arg) if self.accept("->") else []
+        else:
+            head.error(f"unsupported gate {head.text!r}", UnsupportedGateError)
+        self.expect(";")
+        return head, params, args, targets
+
+    def list_of(self, item) -> list:
+        """One or more ``item()``s separated by commas."""
+        out = [item()]
+        while self.accept(","):
+            out.append(item())
+        return out
+
+    def arg(self) -> tuple[_Token, int | None]:
+        reg = self.next()
+        if reg.kind != "name":
+            reg.error(f"expected register, found {reg.text!r}")
+        if not self.accept("["):
+            return reg, None
+        t = self.next()
+        if t.kind != "num" or not t.text.isdigit():
+            t.error(f"expected integer index, found {t.text!r}")
+        self.expect("]")
+        return reg, int(t.text)
 
     # -- angle expressions: + - * / parentheses, numbers, pi --
 
@@ -124,22 +166,18 @@ class _Parser:
     def parse_term(self) -> float:
         val = self.parse_factor()
         while self.peek() and self.peek().text in "*/":
-            op = self.next().text
+            op = self.next()
             rhs = self.parse_factor()
-            if op == "/":
-                if rhs == 0:
-                    self.error("division by zero in angle expression")
-                val = val / rhs
-            else:
-                val = val * rhs
+            if op.text == "/" and rhs == 0:
+                op.error("division by zero in angle expression")
+            val = val / rhs if op.text == "/" else val * rhs
         return val
 
     def parse_factor(self) -> float:
         t = self.next()
-        if t.text == "-":
-            return -self.parse_factor()
-        if t.text == "+":
-            return self.parse_factor()
+        if t.text in ("+", "-"):
+            val = self.parse_factor()
+            return -val if t.text == "-" else val
         if t.text == "(":
             val = self.parse_expr()
             self.expect(")")
@@ -148,7 +186,7 @@ class _Parser:
             return float(t.text)
         if t.kind == "name" and t.text.lower() == "pi":
             return PI
-        raise QasmError(f"bad token {t.text!r} in angle expression", t.line, t.col)
+        t.error(f"bad token {t.text!r} in angle expression")
 
 
 def parse_qasm(text: str) -> Circuit:
@@ -158,148 +196,76 @@ def parse_qasm(text: str) -> Circuit:
     ``circuit.meta['measure_all']``; mid-circuit measurement is rejected.
     """
     p = _Parser(text)
-    qreg_name = None
-    n = 0
-    creg_name = None
+    sizes: dict[str, int] = {}  # register name -> size
+    qreg = None  # the qreg's name token
     ops: list[GateOp] = []
+    where: list[_Token] = []  # the statement name of each op
     barriers: list[int] = []
-    measured = False
+    measured: set[int] = set()
 
-    def parse_qubit_arg() -> int:
-        t = p.next()
-        if t.kind != "name" or t.text != qreg_name:
-            raise QasmError(f"expected quantum register {qreg_name!r}, found {t.text!r}",
-                            t.line, t.col)
-        p.expect("[")
-        it = p.next()
-        if it.kind != "num" or "." in it.text:
-            raise QasmError("expected qubit index", it.line, it.col)
-        idx = int(it.text)
-        if idx >= n:
-            raise QasmError(f"qubit index {idx} out of range for qreg[{n}]", it.line, it.col)
-        p.expect("]")
-        return idx
+    def register(reg: _Token, quantum: bool) -> int:
+        """The size of the qreg (or of a creg) named by ``reg``."""
+        if reg.text not in sizes or (qreg is not None and reg.text == qreg.text) != quantum:
+            reg.error(f"unknown {'quantum' if quantum else 'classical'} register {reg.text!r}")
+        return sizes[reg.text]
+
+    def elements(arg, quantum: bool) -> range:
+        """The indices a barrier or measure argument names."""
+        (reg, i), size = arg, register(arg[0], quantum)
+        if i is not None and i >= size:
+            reg.error(f"index {i} out of range for {reg.text}[{size}]")
+        return range(size) if i is None else range(i, i + 1)
 
     while p.peek() is not None:
-        t = p.next()
-        if t.kind != "name":
-            raise QasmError(f"expected statement, found {t.text!r}", t.line, t.col)
-        name = t.text
-
-        if name == "OPENQASM":
-            p.next()  # version number (e.g. 2.0)
-            p.expect(";")
-            continue
-        if name == "include":
-            p.next()
-            p.expect(";")
-            continue
-        if name == "qreg":
-            if qreg_name is not None:
-                raise QasmError("only a single quantum register is supported", t.line, t.col)
-            nt = p.next()
-            qreg_name = nt.text
-            p.expect("[")
-            n = int(p.next().text)
-            p.expect("]")
-            p.expect(";")
-            if n < 1:
-                raise QasmError("qreg must have at least one qubit", t.line, t.col)
-            continue
-        if name == "creg":
-            nt = p.next()
-            creg_name = nt.text
-            p.expect("[")
-            p.next()
-            p.expect("]")
-            p.expect(";")
-            continue
-        if qreg_name is None:
-            raise QasmError("statement before qreg declaration", t.line, t.col)
-
-        if name == "barrier":
-            # accept either the full register or an explicit qubit list
-            while True:
-                nt = p.peek()
-                if nt is not None and nt.text == qreg_name:
-                    save = p.pos
-                    p.next()
-                    if p.peek() is not None and p.peek().text == "[":
-                        p.pos = save
-                        parse_qubit_arg()
-                else:
-                    p.next()
-                if p.peek() is not None and p.peek().text == ",":
-                    p.next()
-                    continue
-                break
-            p.expect(";")
+        head, params, args, targets = p.statement()
+        name = head.text
+        if name in _STATEMENTS and params:
+            head.error(f"{name} takes no parameters")
+        if targets and name != "measure":
+            head.error(f"'->' follows only the qubit of a measure, not {name}")
+        if name in ("qreg", "creg"):
+            reg, size = args[0]
+            if len(args) != 1 or size is None:
+                head.error(f"{name} declares one register as name[size]")
+            if reg.text in sizes:
+                reg.error(f"register {reg.text!r} is already declared")
+            if name == "qreg":
+                if qreg is not None:
+                    head.error("only a single quantum register is supported")
+                qreg = reg
+            sizes[reg.text] = size
+        elif name == "barrier":
+            for a in args:
+                elements(a, True)
             barriers.append(len(ops))
-            continue
+        elif name == "measure":
+            if len(args) != 1 or len(targets) != 1:
+                head.error("measure takes one qubit argument and one bit argument")
+            qubits, bits = elements(args[0], True), elements(targets[0], False)
+            if len(qubits) != len(bits):
+                head.error(f"measure of {len(qubits)} qubit(s) into {len(bits)} bit(s)")
+            measured.update(qubits)
+        elif name not in _HEADERS:
+            if measured:
+                head.error("mid-circuit measurement is not supported "
+                           "(gates found after measure)")
+            for reg, i in args:
+                register(reg, True)
+                if i is None:
+                    reg.error(f"whole register {reg.text!r} as a gate argument")
+            ops.append(GateOp(_GATE_NAMES[name.lower()], tuple(params),
+                              tuple(i for _, i in args)))
+            where.append(head)
 
-        if name == "measure":
-            nt = p.peek()
-            if nt is not None and nt.text == qreg_name:
-                save = p.pos
-                p.next()
-                if p.peek() is not None and p.peek().text == "[":
-                    p.pos = save
-                    parse_qubit_arg()
-            p.expect("->")
-            ct = p.next()
-            if creg_name is not None and ct.text != creg_name:
-                raise QasmError(f"unknown classical register {ct.text!r}", ct.line, ct.col)
-            if p.peek() is not None and p.peek().text == "[":
-                p.expect("[")
-                p.next()
-                p.expect("]")
-            p.expect(";")
-            measured = True
-            continue
-
-        if measured:
-            raise QasmError("mid-circuit measurement is not supported "
-                            "(gates found after measure)", t.line, t.col)
-
-        key = name.lower()
-        if key not in _GATE_NAMES:
-            raise UnsupportedGateError(f"unsupported gate {name!r}", t.line, t.col)
-        kind = _GATE_NAMES[key]
-        nparams, arity = GATE_NPARAMS[kind], GATE_ARITY[kind]
-
-        params: tuple[float, ...] = ()
-        if nparams:
-            p.expect("(")
-            vals = [p.parse_expr()]
-            while p.peek() is not None and p.peek().text == ",":
-                p.next()
-                vals.append(p.parse_expr())
-            p.expect(")")
-            if len(vals) != nparams:
-                raise QasmError(f"{name} expects {nparams} parameter(s), got {len(vals)}",
-                                t.line, t.col)
-            params = tuple(vals)
-
-        qubits = [parse_qubit_arg()]
-        while p.peek() is not None and p.peek().text == ",":
-            p.next()
-            qubits.append(parse_qubit_arg())
-        p.expect(";")
-        if len(qubits) != arity:
-            raise QasmError(f"{name} expects {arity} qubit(s), got {len(qubits)}",
-                            t.line, t.col)
-        if arity == 2 and qubits[0] == qubits[1]:
-            raise QasmError(f"{name} qubit arguments must be distinct", t.line, t.col)
-        ops.append(GateOp(kind, params, tuple(qubits)))
-
-    if qreg_name is None:
+    if qreg is None:
         raise QasmError("no qreg declaration found", 1, 1)
-    layers = layerize(n, ops, barriers=barriers)
-    return Circuit(n, layers, meta={"measure_all": measured})
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
+    n = sizes[qreg.text]
+    try:
+        layers = layerize(n, ops, barriers=barriers)
+    except ContractError as e:
+        # A width outside the rules names no op; the qreg declared it.
+        (where[e.at[0]] if e.at else qreg).error(str(e))
+    return Circuit(n, layers, meta={"measure_all": len(measured) == n})
 
 
 def _op_to_qasm(op: GateOp, reg: str) -> str:
@@ -310,7 +276,7 @@ def _op_to_qasm(op: GateOp, reg: str) -> str:
     name = _QASM_NAME[kind]
     args = ",".join(f"{reg}[{q}]" for q in op.qubits)
     if params:
-        return f"{name}({','.join(_fmt(v) for v in params)}) {args};"
+        return f"{name}({','.join(repr(float(v)) for v in params)}) {args};"
     return f"{name} {args};"
 
 

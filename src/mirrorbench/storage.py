@@ -68,21 +68,9 @@ def circuit_to_json(c: Circuit) -> str:
         gates[idx] = "".join(pieces).split("\n")[:-1]
     gates, b = gates.tolist(), c.layer_start.tolist()
     layers = ",".join("[" + ",".join(gates[lo:hi]) + "]" for lo, hi in zip(b, b[1:]))
-    meta = (',"meta":' + json.dumps(_jsonable_meta(c.meta), separators=(",", ":"))
+    meta = (',"meta":' + json.dumps(c.meta, separators=(",", ":"))
             if c.meta else "")
     return f'{{"id":{json.dumps(c.id)},"n":{c.n},"layers":[{layers}]{meta}}}'
-
-
-def _jsonable_meta(meta: dict) -> dict:
-    def conv(v):
-        if isinstance(v, tuple):
-            return [conv(x) for x in v]
-        if isinstance(v, dict):
-            return {k: conv(x) for k, x in v.items()}
-        if isinstance(v, frozenset):
-            return sorted(conv(x) for x in v)
-        return v
-    return {k: conv(v) for k, v in meta.items()}
 
 
 def circuit_from_json(line: str, *, path: str = "$") -> Circuit:

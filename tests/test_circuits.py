@@ -88,6 +88,20 @@ class TestLayerize:
         ops = [GateOp("X", (), (0,)), GateOp("X", (), (1,))]
         assert len(layerize(2, ops, barriers=[1])) == 2
 
+    @pytest.mark.parametrize("qubit", [5, -1, 1.5])
+    def test_bad_op_named_by_the_rule_set(self, qubit):
+        # Checked before packing: a ContractError naming op 0, not an
+        # IndexError or TypeError from the frontier.
+        with pytest.raises(ContractError) as e:
+            layerize(2, [GateOp("X", (), (qubit,))])
+        assert e.value.at == (0, 0)
+
+    def test_bad_op_named_by_its_index(self):
+        ops = [GateOp("H", (), (0,)), GateOp("CZ", (), (1, 1))]
+        with pytest.raises(ContractError, match="duplicate qubits") as e:
+            layerize(2, ops)
+        assert e.value.at == (1, 0)
+
 
 class TestInverse:
     def test_rz_negated(self):

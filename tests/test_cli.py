@@ -176,6 +176,18 @@ class TestGenerate:
         result = run_err(runner, ["generate", "--config", cfg, "--out", str(tmp_path / "x")], 2)
         assert "c.qasm: not UTF-8 text" in result.stderr
 
+    @pytest.mark.parametrize("body, error", [
+        ("qreg q[2.5];\n", "line 2, col 8: expected integer index, found '2.5'"),
+        ("qreg q[3];\nccx q[0],q[1],q[2];\n", "line 3, col 1: unsupported gate 'ccx'"),
+        ("qreg q[2];\nx q[5];\n", "line 3, col 1: qubit out of range for n=2"),
+    ])
+    def test_qasm_parse_error_names_file_and_position(self, runner, tmp_path, body, error):
+        qasm = tmp_path / "b.qasm"
+        qasm.write_text("OPENQASM 2.0;\n" + body)
+        cfg = write_config(tmp_path, dict(BRICK_CONFIG, inputs={"qasm_paths": [str(qasm)]}))
+        result = run_err(runner, ["generate", "--config", cfg, "--out", str(tmp_path / "x")], 2)
+        assert result.stderr.startswith(f"config error: {qasm}: {error}"), result.stderr
+
 
 class TestPipeline:
     def _generate(self, runner, tmp_path, cfg=BRICK_CONFIG):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -78,6 +79,89 @@ class TestParse:
     def test_no_qreg(self):
         with pytest.raises(QasmError):
             parse_qasm("x q[0];")
+
+    def test_partial_measure_is_not_measure_all(self):
+        c = parse_qasm("qreg q[2]; creg c[2]; x q[0]; measure q[0] -> c[0];")
+        assert c.meta["measure_all"] is False
+        assert "measure" not in serialize_qasm(c)
+
+    def test_measures_of_every_qubit_are_measure_all(self):
+        c = parse_qasm("qreg q[2]; creg c[2]; x q[0]; "
+                       "measure q[1] -> c[0]; measure q[0] -> c[1];")
+        assert c.meta["measure_all"] is True
+
+
+# name -> (program, line, col, part of the message) of a QasmError
+MALFORMED = {
+    "fractional-qreg-size": ("qreg q[2.5];", 1, 8, "expected integer index"),
+    "named-qreg-size": ("qreg q[n];", 1, 8, "expected integer index"),
+    "barrier-on-unknown-register": ("qreg q[2];\nbarrier foo;", 2, 9,
+                                    "unknown quantum register 'foo'"),
+    "named-creg-size": ("qreg q[2];\ncreg c[x];", 2, 8, "expected integer index"),
+    "overflowing-angle": ("qreg q[1];\nx q[0];\nrz(1e400) q[0];", 3, 1,
+                          "non-finite parameter"),
+    "creg-reuses-qreg-name": ("qreg q[2];\ncreg q[2];", 2, 6, "already declared"),
+    "wrong-arity": ("qreg q[2];\ncx q[0];", 2, 1, "wrong number of qubits"),
+    "wrong-param-count": ("qreg q[1];\nrz(1, 2) q[0];", 2, 1, "wrong number of params"),
+    "missing-params": ("qreg q[1];\n  u3 q[0];", 2, 3, "wrong number of params"),
+    "repeated-qubit": ("qreg q[2];\ncz q[1], q[1];", 2, 1, "duplicate qubits"),
+    "qubit-out-of-range": ("qreg q[2];\nh q[0];\nx q[5];", 3, 1, "qubit out of range"),
+    "barrier-index-out-of-range": ("qreg q[2];\nbarrier q[0], q[2];", 2, 15,
+                                   "index 2 out of range"),
+    "whole-register-gate-argument": ("qreg q[2];\ncz q[0], q;", 2, 10, "whole register"),
+    "empty-qreg": ("OPENQASM 2.0;\nqreg q[0];", 2, 6, "circuit width 0"),
+    "huge-qreg": ("qreg q[99999999999999999999];\nx q[0];", 1, 6, "circuit width"),
+    "measure-size-mismatch": ("qreg q[2];\ncreg c[1];\nmeasure q -> c;", 3, 1,
+                              "2 qubit(s) into 1 bit(s)"),
+    "unknown-creg": ("qreg q[1];\nmeasure q[0] -> m[0];", 2, 17,
+                     "unknown classical register 'm'"),
+    "division-by-zero": ("qreg q[1];\nrz(pi/0) q[0];", 2, 6, "division by zero"),
+    "deep-unary-minus": ("qreg q[1];\nrz(" + "-" * 3000 + "1) q[0];", 2, 1, "nested too deeply"),
+    "deep-parentheses": ("qreg q[1];\nrz(" + "(" * 400 + "1" + ")" * 400 + ") q[0];", 2, 1,
+                         "nested too deeply"),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_program_error_position(name):
+    src, line, col, message = MALFORMED[name]
+    with pytest.raises(QasmError) as e:
+        parse_qasm(src)
+    assert type(e.value) is QasmError
+    assert (e.value.line, e.value.col) == (line, col)
+    assert message in str(e.value)
+
+
+def test_unsupported_gate_error_position():
+    with pytest.raises(UnsupportedGateError) as e:
+        parse_qasm("qreg q[3];\nh q[0];\n ccx q[0], q[1], q[2];")
+    assert (e.value.line, e.value.col) == (3, 2)
+
+
+VALID_PROGRAM = (
+    'OPENQASM 2.0; include "qelib1.inc"; qreg q[3]; creg c[3]; '
+    "h q[0]; cx q[0], q[1]; rz(-pi/4) q[2]; u3(0.1, 0.2*pi, 3) q[1]; barrier q; "
+    "cp(pi/2) q[1], q[2]; barrier q[0], q[2]; measure q[0] -> c[0]; measure q -> c;")
+VALID_TOKENS = re.findall(r'"[^"]*"|->|\d+\.\d*|\w+|\S', VALID_PROGRAM)
+SPARE_TOKENS = sorted(set(VALID_TOKENS) | {
+    "1e400", "2.5", "0", "7", "foo", "-", "/", "pi", "x", "ccx", "measure", "qreg", "creg"})
+
+
+@given(st.sampled_from(["delete", "duplicate", "replace"]),
+       st.integers(0, len(VALID_TOKENS) - 1), st.sampled_from(SPARE_TOKENS))
+@settings(max_examples=400, deadline=None)
+def test_one_token_edit_raises_only_qasm_errors(edit, i, spare):
+    tokens = list(VALID_TOKENS)
+    tokens[i:i + 1] = {"delete": [], "duplicate": [tokens[i]] * 2, "replace": [spare]}[edit]
+    try:
+        parse_qasm(" ".join(tokens))
+    except QasmError:
+        pass
+
+
+def test_valid_program_parses():
+    c = parse_qasm(VALID_PROGRAM)
+    assert (c.n, c.depth, c.meta) == (3, 4, {"measure_all": True})
 
 
 class TestSerialize:
