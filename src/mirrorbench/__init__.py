@@ -25,7 +25,6 @@ _EXPORTS = {
         "layerize",
     ),
     "sim": (
-        "OutcomeDistribution",
         "exact_process_fidelity",
         "ideal_distribution",
         "noisy_distribution",

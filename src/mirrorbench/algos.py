@@ -47,6 +47,7 @@ PI = math.pi
 # ``report`` leaves out the Trotter fidelities of wider ones.
 _DENSE_MAX_N = 12
 EVOLUTION_MAX_N = 10
+_H_FIELD = 2.0  # on every site of the TFIM and Heisenberg rings
 
 
 @dataclass(frozen=True)
@@ -183,7 +184,7 @@ def _site_string(n: int, i: int, p: str) -> str:
     return "".join(s)
 
 
-def tfim(n: int, h_field: float = 2.0) -> PauliSumHamiltonian:
+def tfim(n: int) -> PauliSumHamiltonian:
     """Transverse-field Ising model on a periodic 1D ring, h_i = 2.
 
     Terms: ZZ couplings around the ring first, X fields last.
@@ -191,11 +192,11 @@ def tfim(n: int, h_field: float = 2.0) -> PauliSumHamiltonian:
     if n < 3:
         raise ContractError("periodic ring needs n >= 3")
     terms = [(1.0, _ring_string(n, i, (i + 1) % n, "Z", "Z")) for i in range(n)]
-    terms += [(h_field, _site_string(n, i, "X")) for i in range(n)]
+    terms += [(_H_FIELD, _site_string(n, i, "X")) for i in range(n)]
     return PauliSumHamiltonian(n, tuple(terms))
 
 
-def heisenberg(n: int, h_field: float = 2.0) -> PauliSumHamiltonian:
+def heisenberg(n: int) -> PauliSumHamiltonian:
     """Heisenberg XXX model on a periodic 1D ring with Z fields, h_i = 2.
 
     Terms: XX, YY, ZZ per ring edge first, Z fields last.
@@ -207,7 +208,7 @@ def heisenberg(n: int, h_field: float = 2.0) -> PauliSumHamiltonian:
         j = (i + 1) % n
         for p in ("X", "Y", "Z"):
             terms.append((1.0, _ring_string(n, i, j, p, p)))
-    terms += [(h_field, _site_string(n, i, "Z")) for i in range(n)]
+    terms += [(_H_FIELD, _site_string(n, i, "Z")) for i in range(n)]
     return PauliSumHamiltonian(n, tuple(terms))
 
 

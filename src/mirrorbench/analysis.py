@@ -26,7 +26,6 @@ from mirrorbench.core import (
 from mirrorbench.shots import ShotTable, derive_seed
 
 __all__ = [
-    "PolarizationEstimate",
     "FidelityRecord",
     "EffectiveErrorRate",
     "IllConditionedError",
@@ -51,15 +50,6 @@ class IllConditionedError(ContractError):
 
 
 @dataclass(frozen=True)
-class PolarizationEstimate:
-    """Effective polarization of one proxy circuit's shot table."""
-
-    circuit_id: str
-    S: float
-    shots: int
-
-
-@dataclass(frozen=True)
 class EffectiveErrorRate:
     """Per-shape effective error rate from K subcircuit fidelities."""
 
@@ -75,7 +65,7 @@ class EffectiveErrorRate:
 # --- polarization and the ratio estimator -------------------------------------------
 
 
-def effective_polarization(t: ShotTable, target: str) -> PolarizationEstimate:
+def effective_polarization(t: ShotTable, target: str) -> float:
     """S = (4^n sum_k (-1/2)^k h_k - 1) / (4^n - 1), overflow-safe for any n."""
     if not len(t.tally):
         raise ContractError("empty shot table")
@@ -87,8 +77,7 @@ def effective_polarization(t: ShotTable, target: str) -> PolarizationEstimate:
     # S = (4^n a - 1)/(4^n - 1) computed as (a - 4^-n)/(1 - 4^-n); the
     # 4.0**-n factor underflows to 0 for huge n instead of overflowing.
     q = 4.0 ** -n
-    s = (a - q) / (1.0 - q)
-    return PolarizationEstimate(t.circuit_id, s, t.shots)
+    return (a - q) / (1.0 - q)
 
 
 def mcfe_estimate(s1: float, s2: float, s3: float,
@@ -127,7 +116,7 @@ def estimate_benchmark(benchmark_id: str, n: int, depth: int,
 
     ``tables`` maps kind (M1/M2/M3) to (shot table, target) pairs.
     """
-    pols = {k: [effective_polarization(t, tgt).S for t, tgt in v]
+    pols = {k: [effective_polarization(t, tgt) for t, tgt in v]
             for k, v in tables.items()}
     s1, s2, s3 = _kind_means(pols)
     f, fc, flags = mcfe_estimate(s1, s2, s3, n)
@@ -178,15 +167,11 @@ def bootstrap_sigma(tables: dict[str, list[tuple[ShotTable, str]]], n: int,
 
 
 def _as_probs(p) -> np.ndarray:
-    p = getattr(p, "probs", p)  # an OutcomeDistribution
-    if isinstance(p, dict):
-        n = len(next(iter(p)))
-        arr = np.zeros(1 << n)
-        for bs, v in p.items():
-            arr[int(bs, 2)] = v
-        p = arr
-    arr = np.asarray(p, dtype=float)
-    if arr.ndim != 1 or abs(arr.sum() - 1.0) > 1e-6 or (arr < -1e-12).any():
+    try:
+        arr = np.asarray(p, dtype=float)
+    except (TypeError, ValueError):
+        raise ContractError("not a probability distribution") from None
+    if arr.ndim != 1 or not abs(arr.sum() - 1.0) <= 1e-6 or (arr < -1e-12).any():  # NaN too
         raise ContractError("not a probability distribution")
     return np.clip(arr, 0.0, None)
 
@@ -199,17 +184,15 @@ def classical_fidelity(p, p_tilde) -> float:
     return float(np.sum(np.sqrt(a * b)) ** 2)
 
 
-def normalized_classical_fidelity(p, p_tilde, n: int) -> float:
+def normalized_classical_fidelity(p, p_tilde) -> float:
     """F_c rescaled so a uniform p~ scores 0:
-    (F_c - u) / (1 - u) with u = F_c(uniform, p) = 2^{-n} (sum_x sqrt(p(x)))^2.
+    (F_c - u) / (1 - u) with u = F_c(uniform, p) = (sum_x sqrt(p(x)))^2 / len(p).
 
     Ill-conditioned (raises) when p is too close to uniform, where the
     denominator 1 - u vanishes.
     """
     a, b = _as_probs(p), _as_probs(p_tilde)
-    if a.size != 1 << n:
-        raise ContractError("distribution size != 2^n")
-    u = float(np.sum(np.sqrt(a))) ** 2 / 2 ** n
+    u = float(np.sum(np.sqrt(a))) ** 2 / a.size
     denom = 1.0 - u
     if denom <= NCF_FLOOR:
         raise IllConditionedError(

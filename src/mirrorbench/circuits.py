@@ -304,9 +304,12 @@ def _check_arrays(n: int, kind, qubits, params, layer_start):
             (kind == KIND_CODE["C1Q"]) & ~((p0 == np.floor(p0)) & (p0 >= 0) & (p0 < 24)),
         "qubit appears twice in one layer": again,
     }
+    # A gate is named without the padding of its row, unless a rule flags that.
+    cut = known & ~rules["wrong number of qubits"] & ~rules["wrong number of params"]
     _raise_first(rules, layer_start, lambda g: (
         f"{KINDS[kind[g]] if known[g] else f'kind code {kind[g]}'} on qubits "
-        f"{qubits[g].tolist()} with params {params[g].tolist()}"))
+        f"{qubits[g, :arity[g] if cut[g] else 2].tolist()} with params "
+        f"{params[g, :nparams[g] if cut[g] else 3].tolist()}"))
 
 
 def _array(values: list, dtype, limit, stand_in) -> np.ndarray:

@@ -245,7 +245,7 @@ def _sampling_from(cfg: dict) -> SamplingParams:
 def _noise(cfg: dict) -> NoiseModel:
     try:
         return NoiseModel.from_dict(cfg.get("noise") or {})
-    except (AttributeError, TypeError, ValueError) as e:
+    except ContractError as e:
         raise ConfigError(f"bad noise ({e})") from None
 
 
@@ -443,14 +443,14 @@ def _analyze_records(out_dir: str, bootstrap: int = 200) -> list[FidelityRecord]
     missing = [r["id"] for r in mirrors if r["id"] not in tables]
     if missing:
         raise MissingDataError(f"no shots for {_some(missing)}")
+    by_parent: dict[str, dict[str, list[tuple[ShotTable, str]]]] = {
+        b["id"]: {"M1": [], "M2": [], "M3": []} for b in benchmarks}
+    for r in mirrors:
+        by_parent[r["parent_id"]][r["kind"]].append((tables[r["id"]], r["target_bitstring"]))
     records = []
     for b in benchmarks:
-        by_kind: dict[str, list[tuple[ShotTable, str]]] = {"M1": [], "M2": [], "M3": []}
-        for r in mirrors:
-            if r["parent_id"] == b["id"]:
-                by_kind[r["kind"]].append((tables[r["id"]], r["target_bitstring"]))
         shape = tuple(b["shape"]) if "shape" in b else None
-        rec = estimate_benchmark(b["id"], b["width"], b["depth"], by_kind,
+        rec = estimate_benchmark(b["id"], b["width"], b["depth"], by_parent[b["id"]],
                                  bootstrap=bootstrap, seed=cfg["seed"],
                                  shape=shape)
         records.append(rec)

@@ -16,7 +16,7 @@ import csv
 import io
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import IO, Iterator
 
 __all__ = [
@@ -100,13 +100,19 @@ class NoiseModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NoiseModel":
-        return cls(
-            lam_1q=d.get("lam_1q", 0.0),
-            lam_2q=d.get("lam_2q", 0.0),
-            theta_over=dict(d.get("theta_over", {})),
-            theta_idle=d.get("theta_idle", 0.0),
-            eps_ro=d.get("eps_ro", 0.0),
-        )
+        """The model of a config's ``noise`` object. An unknown key, whose noise
+        would be left out, or a value that is not a JSON number (bool is none)
+        raises ``ContractError``."""
+        over = d.get("theta_over", {}) if isinstance(d, dict) else None
+        if not isinstance(over, dict):
+            raise ContractError("noise and its theta_over must be JSON objects")
+        unknown = sorted(d.keys() - {f.name for f in fields(cls)})
+        if unknown:
+            raise ContractError(f"unknown key {unknown[0]!r}")
+        for name, v in [*d.items(), *((f"theta_over[{k!r}]", v) for k, v in over.items())]:
+            if name != "theta_over" and (isinstance(v, bool) or not isinstance(v, (int, float))):
+                raise ContractError(f"{name} must be a number, got {v!r}")
+        return cls(**dict(d, theta_over=dict(over)))
 
 
 # --- atomic writes -------------------------------------------------------------------

@@ -37,8 +37,10 @@ n..2n-1. Batch axes (unitary columns, Choi columns) trail. The one exception
 is the shot sampler's trajectory buffer, whose batch axis comes first so that
 the trajectories still being evolved form one contiguous block.
 
-Bitstring convention: character i is qubit i, qubit 0 leftmost (most
-significant bit of a basis-state index).
+Index convention: qubit 0 is the most significant bit of a basis state's
+index, in the flat ``statevector``, the rows and columns of ``unitary_of`` and
+the probability vectors of ``ideal_distribution`` and ``noisy_distribution``.
+A bitstring is that index in binary: character i is qubit i.
 
 ``ShotTable``, ``derive_seed`` and ``fake_uniform_shots`` live in ``shots``,
 which needs no circuit code, and are re-exported here.
@@ -47,7 +49,6 @@ which needs no circuit code, and are re-exported here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,7 +68,6 @@ from mirrorbench.shots import ShotTable, derive_seed, fake_uniform_shots
 __all__ = [
     "NoiseModel",
     "ShotTable",
-    "OutcomeDistribution",
     "ideal_distribution",
     "noisy_distribution",
     "sample_shots",
@@ -89,33 +89,6 @@ _STATEVECTOR_MAX_N = 20
 _TRAJECTORY_MAX_N = 12
 _DENSITY_MAX_N = 10
 _UNITARY_MAX_N = 12
-# Outcome probabilities at or below these are left out of a distribution.
-_STATEVECTOR_TOL = 1e-12
-_DENSITY_TOL = 1e-14
-
-
-@dataclass
-class OutcomeDistribution:
-    """Sparse map bitstring -> probability."""
-
-    probs: dict[str, float]
-
-    def __post_init__(self):
-        total = sum(self.probs.values())
-        if abs(total - 1.0) > 1e-9:
-            raise ContractError(f"probabilities sum to {total}, expected 1")
-
-    def __getitem__(self, bs: str) -> float:
-        return self.probs.get(bs, 0.0)
-
-
-def _outcomes(probs: np.ndarray, n: int, tol: float) -> OutcomeDistribution:
-    """The sparse distribution of a probability vector over basis-state
-    indices: negative rounding clipped, renormalized, entries above ``tol``."""
-    probs = np.clip(probs, 0.0, None)
-    probs /= probs.sum()
-    return OutcomeDistribution(
-        {format(x, f"0{n}b"): float(probs[x]) for x in np.nonzero(probs > tol)[0].tolist()})
 
 
 def _noisy_program(c: Circuit, nm: NoiseModel):
@@ -166,9 +139,11 @@ def statevector(c: Circuit) -> np.ndarray:
     return _evolve_pure(psi, c, NoiseModel.noiseless())
 
 
-def ideal_distribution(c: Circuit) -> OutcomeDistribution:
-    """Error-free outcome distribution |<x|U|0..0>|^2 as a sparse map."""
-    return _outcomes(np.abs(statevector(c).ravel()) ** 2, c.n, _STATEVECTOR_TOL)
+def ideal_distribution(c: Circuit) -> np.ndarray:
+    """Error-free outcome distribution |<x|U|0..0>|^2: a float64 vector of
+    length 2^n indexed by basis state x, qubit 0 its most significant bit."""
+    probs = np.abs(statevector(c).ravel()) ** 2
+    return probs / probs.sum()
 
 
 # --- Monte-Carlo shot sampling ----------------------------------------------------
@@ -432,9 +407,10 @@ def _choi_columns(c: Circuit, nm: NoiseModel, lo: int, hi: int) -> np.ndarray:
     return rho.reshape(dim, dim, hi - lo)
 
 
-def noisy_distribution(c: Circuit, nm: NoiseModel) -> OutcomeDistribution:
-    """Exact outcome distribution under the noise model: the diagonal of the
-    channel's image of |0..0><0..0|, then the readout error."""
+def noisy_distribution(c: Circuit, nm: NoiseModel) -> np.ndarray:
+    """Exact outcome distribution under the noise model, a vector indexed as
+    ``ideal_distribution``'s: the diagonal of the channel's image of
+    |0..0><0..0|, then the readout error."""
     if c.n > _DENSITY_MAX_N:
         raise CapacityError(f"n={c.n} exceeds density-evolution limit {_DENSITY_MAX_N}")
     n = c.n
@@ -447,7 +423,8 @@ def noisy_distribution(c: Circuit, nm: NoiseModel) -> OutcomeDistribution:
         for q in range(n):
             probs = apply_gate(mix, probs, (q,), n)
         probs = probs.ravel()
-    return _outcomes(probs, n, _DENSITY_TOL)
+    probs = np.clip(probs, 0.0, None)  # negative rounding
+    return probs / probs.sum()
 
 
 # --- process fidelity oracles -----------------------------------------------------

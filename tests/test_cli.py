@@ -63,6 +63,9 @@ ERROR_CASES = {
                                 "transpile": {"coupling": {"n": 3}}},
                                None, "generate", 2),
     "bad-noise": ({"noise": {"lam_1q": 3}}, None, "generate", 2),
+    # a misspelled key was dropped, and true read as 1.0
+    "unknown-noise-key": ({"noise": {"lam_1": 0.01}}, None, "generate", 2),
+    "bool-noise": ({"noise": {"lam_1q": True}}, None, "generate", 2),
     # shots must be a positive JSON integer: simulate refuses 0, and a bool
     # or a fraction is not a count.
     "zero-shots": ({"shots": 0}, None, "generate", 2),

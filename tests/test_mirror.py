@@ -23,7 +23,7 @@ from tests.test_circuits import random_native_circuit
 
 
 def target_probability(mc):
-    return ideal_distribution(mc.circuit)[mc.target]
+    return ideal_distribution(mc.circuit)[int(mc.target, 2)]
 
 
 class TestSamplingParams:

@@ -99,13 +99,14 @@ MALFORMED = {
                                     "unknown quantum register 'foo'"),
     "named-creg-size": ("qreg q[2];\ncreg c[x];", 2, 8, "expected integer index"),
     "overflowing-angle": ("qreg q[1];\nx q[0];\nrz(1e400) q[0];", 3, 1,
-                          "non-finite parameter"),
+                          "non-finite parameter: RZ on qubits [0] with params [inf]"),
     "creg-reuses-qreg-name": ("qreg q[2];\ncreg q[2];", 2, 6, "already declared"),
     "wrong-arity": ("qreg q[2];\ncx q[0];", 2, 1, "wrong number of qubits"),
     "wrong-param-count": ("qreg q[1];\nrz(1, 2) q[0];", 2, 1, "wrong number of params"),
     "missing-params": ("qreg q[1];\n  u3 q[0];", 2, 3, "wrong number of params"),
     "repeated-qubit": ("qreg q[2];\ncz q[1], q[1];", 2, 1, "duplicate qubits"),
-    "qubit-out-of-range": ("qreg q[2];\nh q[0];\nx q[5];", 3, 1, "qubit out of range"),
+    "qubit-out-of-range": ("qreg q[2];\nh q[0];\nx q[5];", 3, 1,
+                           "qubit out of range for n=2: X on qubits [5] with params []"),
     "barrier-index-out-of-range": ("qreg q[2];\nbarrier q[0], q[2];", 2, 15,
                                    "index 2 out of range"),
     "whole-register-gate-argument": ("qreg q[2];\ncz q[0], q;", 2, 10, "whole register"),

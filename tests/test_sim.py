@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 from collections import Counter
 from functools import reduce
 from itertools import chain, product
@@ -72,13 +73,6 @@ def random_noise_model(rng, coherent_only=False):
                       eps_ro=float(rng.uniform(0, 0.1)), **coherent)
 
 
-def _dense(dist, n):
-    p = np.zeros(1 << n)
-    for bs, v in dist.probs.items():
-        p[int(bs, 2)] = v
-    return p
-
-
 class TestNoiseModel:
     def test_validation(self):
         with pytest.raises(ContractError):
@@ -93,6 +87,18 @@ class TestNoiseModel:
             lam_1q=0.01, lam_2q=0.05, theta_over={"X": 0.1, "SX": -0.2},
             theta_idle=0.07, eps_ro=0.02)
 
+    @pytest.mark.parametrize("d, message", [
+        ({"lam_1": 0.5, "lam_1q": 0.1}, "unknown key 'lam_1'"),
+        ({"lam_1q": True}, "lam_1q must be a number, got True"),
+        ({"eps_ro": "0.1"}, "eps_ro must be a number, got '0.1'"),
+        ({"theta_over": {"X": True}}, "theta_over['X'] must be a number, got True"),
+        ({"theta_over": [["X", 0.1]]}, "noise and its theta_over must be JSON objects"),
+        ([], "noise and its theta_over must be JSON objects"),
+    ])
+    def test_from_dict_rejects_what_it_would_drop_or_coerce(self, d, message):
+        with pytest.raises(ContractError, match=f"^{re.escape(message)}"):
+            NoiseModel.from_dict(d)
+
     def test_noiseless(self):
         assert NoiseModel.noiseless() == NoiseModel(0.0, 0.0, {}, 0.0, 0.0)
         assert NoiseModel.noiseless() != COMBINED
@@ -101,17 +107,16 @@ class TestNoiseModel:
 class TestIdealDistribution:
     def test_empty_circuit(self):
         d = ideal_distribution(Circuit(3, ()))
-        assert d.probs == {"000": 1.0}
+        assert d.dtype == np.float64 and d.tolist() == [1.0] + [0.0] * 7
 
     def test_hadamard(self):
         d = ideal_distribution(Circuit(1, ((GateOp("H", (), (0,)),),)))
-        assert d["0"] == pytest.approx(0.5) and d["1"] == pytest.approx(0.5)
+        assert d == pytest.approx([0.5, 0.5])
 
     def test_qft2_uniform(self):
         from mirrorbench.algos import qft_circuit
         d = ideal_distribution(qft_circuit(2))
-        for bs in ("00", "01", "10", "11"):
-            assert d[bs] == pytest.approx(0.25)
+        assert d == pytest.approx([0.25] * 4)
 
 
 class TestSampleShots:
@@ -143,9 +148,9 @@ class TestSampleShots:
                         theta_over={"X": 0.2, "SX": 0.2})
         shots = 200_000
         t = sample_shots(c, nm, shots, 5)
-        exact = noisy_distribution(c, nm).probs
-        for bs, p in exact.items():
-            f = t.counts.get(bs, 0) / shots
+        exact = noisy_distribution(c, nm)
+        for x, p in enumerate(exact):
+            f = t.counts.get(format(x, f"0{c.n}b"), 0) / shots
             sigma = math.sqrt(max(p * (1 - p), 1e-12) / shots)
             assert abs(f - p) < 5 * sigma + 1e-9
 
@@ -317,7 +322,7 @@ class TestStepConsumersAgree:
         n = int(rng.integers(1, 5))
         c = random_circuit(rng, n, int(rng.integers(1, 13)))
         nm = random_noise_model(rng)
-        p = _dense(noisy_distribution(c, nm), n)
+        p = noisy_distribution(c, nm)
         counts = np.zeros(1 << n)
         for bs, k in sample_shots(c, nm, self.SHOTS, seed).counts.items():
             counts[int(bs, 2)] = k
@@ -335,7 +340,7 @@ class TestStepConsumersAgree:
         c = random_circuit(rng, n, int(rng.integers(1, 13)))
         nm = random_noise_model(rng, coherent_only=True)
         col = np.abs(noisy_unitary(c, nm)[:, 0]) ** 2
-        assert np.abs(_dense(noisy_distribution(c, nm), n) - col).max() <= 1e-12
+        assert np.abs(noisy_distribution(c, nm) - col).max() <= 1e-12
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=30, deadline=None, derandomize=True)
@@ -581,11 +586,11 @@ class TestChannelOracle:
         target = haar_unitary(rng, 1 << n)
         fused = (exact_process_fidelity(c, nm),
                  sim.process_fidelity_channel_vs_unitary(target, c, nm),
-                 _dense(noisy_distribution(c, nm), n))
+                 noisy_distribution(c, nm))
         with mock.patch.object(sim, "_evolve_channel", reference_evolve_channel):
             ref = (exact_process_fidelity(c, nm),
                    sim.process_fidelity_channel_vs_unitary(target, c, nm),
-                   _dense(noisy_distribution(c, nm), n))
+                   noisy_distribution(c, nm))
         assert abs(fused[0] - ref[0]) <= 1e-12
         assert abs(fused[1] - ref[1]) <= 1e-12
         assert np.abs(fused[2] - ref[2]).max() <= 1e-12

@@ -67,31 +67,53 @@ def gate(kind, qubits, params=()):
     return {"kind": kind, "params": list(params), "qubits": list(qubits)}
 
 
-# name -> (layers of an n=2 circuit with one bad gate, that gate's (layer, position)).
-# Each is rejected at the same gate when read from JSON and when given to
-# Circuit as GateOps.
+# name -> (layers of an n=2 circuit with one bad gate, that gate's (layer, position),
+# the message after its JSON path). Each is rejected at the same gate when read
+# from JSON and when given to Circuit as GateOps.
 BAD_GATES = {
-    "unknown-kind": ([[gate("X", [0])], [gate("FOO", [1])]], (1, 0)),
-    "wrong-arity": ([[gate("CZ", [0])]], (0, 0)),
-    "duplicate-qubit": ([[gate("X", [0])], [gate("CX", [1, 1])]], (1, 0)),
-    "param-count": ([[gate("RZ", [0])]], (0, 0)),
-    "nan-param": ([[gate("X", [0]), gate("RZ", [1], [float("nan")])]], (0, 1)),
-    "c1q-index-24": ([[gate("C1Q", [0], [24.0])]], (0, 0)),
-    "c1q-index-1.5": ([[], [gate("X", [1]), gate("C1Q", [0], [1.5])]], (1, 1)),
-    "out-of-range-qubit": ([[gate("CZ", [0, 5])]], (0, 0)),
-    "layer-collision": ([[gate("X", [1])], [gate("X", [0]), gate("SX", [0])]], (1, 1)),
+    "unknown-kind": ([[gate("X", [0])], [gate("FOO", [1])]], (1, 0),
+                     "unknown gate kind: FOO on qubits [1] with params []"),
+    "wrong-arity": ([[gate("CZ", [0])]], (0, 0),
+                    "wrong number of qubits: CZ on qubits [0] with params []"),
+    "duplicate-qubit": ([[gate("X", [0])], [gate("CX", [1, 1])]], (1, 0),
+                        "duplicate qubits: CX on qubits [1, 1] with params []"),
+    "param-count": ([[gate("RZ", [0])]], (0, 0),
+                    "wrong number of params: RZ on qubits [0] with params []"),
+    "nan-param": ([[gate("X", [0]), gate("RZ", [1], [float("nan")])]], (0, 1),
+                  "non-finite parameter: RZ on qubits [1] with params [nan]"),
+    "c1q-index-24": ([[gate("C1Q", [0], [24.0])]], (0, 0),
+                     "C1Q index must be an integer in 0..23: "
+                     "C1Q on qubits [0] with params [24.0]"),
+    "c1q-index-1.5": ([[], [gate("X", [1]), gate("C1Q", [0], [1.5])]], (1, 1),
+                      "C1Q index must be an integer in 0..23: "
+                      "C1Q on qubits [0] with params [1.5]"),
+    "out-of-range-qubit": ([[gate("CZ", [0, 5])]], (0, 0),
+                           "qubit out of range for n=2: CZ on qubits [0, 5] with params []"),
+    "layer-collision": ([[gate("X", [1])], [gate("X", [0]), gate("SX", [0])]], (1, 1),
+                        "qubit appears twice in one layer: SX on qubits [0] with params []"),
     # Records that truncating or coercing would turn into valid gates.
-    "cz-three-qubits": ([[gate("CZ", [0, 1, 2])]], (0, 0)),
-    "u3-four-params": ([[gate("X", [1]), gate("U3", [0], [0.1, 0.2, 0.3, 0.4])]], (0, 1)),
-    "rz-extra-zero": ([[gate("RZ", [0], [0.5, 0.0])]], (0, 0)),
-    "half-qubit": ([[gate("X", [0.5])]], (0, 0)),
-    "fractional-qubit": ([[gate("X", [0])], [gate("SX", [0]), gate("X", [1.7])]], (1, 1)),
-    "bool-qubit": ([[gate("X", [True])]], (0, 0)),
-    "bool-param": ([[gate("RZ", [0], [True])]], (0, 0)),
-    "string-param": ([[gate("RZ", [0], ["1"])]], (0, 0)),
+    "cz-three-qubits": ([[gate("CZ", [0, 1, 2])]], (0, 0),
+                        "wrong number of qubits: CZ on qubits [0, 1, 2] with params []"),
+    "u3-four-params": ([[gate("X", [1]), gate("U3", [0], [0.1, 0.2, 0.3, 0.4])]], (0, 1),
+                       "wrong number of params: "
+                       "U3 on qubits [0] with params [0.1, 0.2, 0.3, 0.4]"),
+    "rz-extra-zero": ([[gate("RZ", [0], [0.5, 0.0])]], (0, 0),
+                      "wrong number of params: RZ on qubits [0] with params [0.5, 0.0]"),
+    "half-qubit": ([[gate("X", [0.5])]], (0, 0),
+                   "qubits must be integers: X on qubits [0.5] with params []"),
+    "fractional-qubit": ([[gate("X", [0])], [gate("SX", [0]), gate("X", [1.7])]], (1, 1),
+                         "qubits must be integers: X on qubits [1.7] with params []"),
+    "bool-qubit": ([[gate("X", [True])]], (0, 0),
+                   "qubits must be integers: X on qubits [True] with params []"),
+    "bool-param": ([[gate("RZ", [0], [True])]], (0, 0),
+                   "params must be real numbers: RZ on qubits [0] with params [True]"),
+    "string-param": ([[gate("RZ", [0], ["1"])]], (0, 0),
+                     "params must be real numbers: RZ on qubits [0] with params ['1']"),
     # Ints too large to store.
-    "huge-qubit": ([[gate("X", [0]), gate("X", [10 ** 30])]], (0, 1)),
-    "huge-param": ([[gate("RZ", [0], [10 ** 400])]], (0, 0)),
+    "huge-qubit": ([[gate("X", [0]), gate("X", [10 ** 30])]], (0, 1),
+                   "qubit out of range for n=2: X on qubits [-2] with params []"),
+    "huge-param": ([[gate("RZ", [0], [10 ** 400])]], (0, 0),
+                   "non-finite parameter: RZ on qubits [0] with params [inf]"),
 }
 
 
@@ -119,12 +141,13 @@ class TestCircuitJsonl:
         assert circuit_to_json(c) == reference_circuit_to_json(c)
         assert circuit_from_json(circuit_to_json(c)) == c
 
-    @pytest.mark.parametrize("layers, at", BAD_GATES.values(), ids=BAD_GATES.keys())
-    def test_error_carries_json_path(self, layers, at):
+    @pytest.mark.parametrize("layers, at, message", BAD_GATES.values(), ids=BAD_GATES.keys())
+    def test_error_carries_json_path(self, layers, at, message):
         line = json.dumps({"id": "x", "n": 2, "layers": layers})
         with pytest.raises(SchemaError) as e:
             circuit_from_json(line, path="$[3]")
         assert e.value.path == "$[3].layers[{}][{}]".format(*at)
+        assert str(e.value) == f"{e.value.path}: {message}"
 
     @pytest.mark.parametrize("layers, at", [
         ([[gate("X", [0]), {"kind": "X", "params": []}]], (0, 1)),
@@ -137,8 +160,8 @@ class TestCircuitJsonl:
             circuit_from_json(line)
         assert e.value.path == "$.layers[{}][{}]".format(*at)
 
-    @pytest.mark.parametrize("layers, at", BAD_GATES.values(), ids=BAD_GATES.keys())
-    def test_gate_op_layers_fail_at_same_gate(self, layers, at):
+    @pytest.mark.parametrize("layers, at, message", BAD_GATES.values(), ids=BAD_GATES.keys())
+    def test_gate_op_layers_fail_at_same_gate(self, layers, at, message):
         ops = [[GateOp(g["kind"], tuple(g["params"]), tuple(g["qubits"])) for g in layer]
                for layer in layers]
         with pytest.raises(ContractError) as e:
