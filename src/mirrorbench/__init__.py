@@ -16,6 +16,7 @@ _EXPORTS = {
         "ContractError",
         "NoiseModel",
         "FidelityRecord",
+        "full_process_fidelity",
     ),
     "circuits": (
         "Circuit",
@@ -40,7 +41,6 @@ _EXPORTS = {
         "TrotterSpec",
         "algorithmic_process_fidelity",
         "brickwork_u3_cz",
-        "full_process_fidelity",
         "heisenberg",
         "max3sat",
         "qaoa_circuit",

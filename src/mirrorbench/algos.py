@@ -24,6 +24,7 @@ from mirrorbench.circuits import (
     PAULI_MATS,
     layerize,
 )
+from mirrorbench.core import full_process_fidelity, is_number
 from mirrorbench.sim import derive_seed, process_fidelity_unitaries, unitary_of
 
 __all__ = [
@@ -44,7 +45,7 @@ __all__ = [
 PI = math.pi
 # Widest Hamiltonian held as a dense matrix, and widest whose exact evolution
 # (and so the algorithmic fidelity of a Trotter circuit) is computed;
-# ``report`` leaves out the Trotter fidelities of wider ones.
+# ``generate`` records no algorithmic fidelity for wider ones.
 _DENSE_MAX_N = 12
 EVOLUTION_MAX_N = 10
 _H_FIELD = 2.0  # on every site of the TFIM and Heisenberg rings
@@ -85,8 +86,25 @@ class PauliSumHamiltonian:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PauliSumHamiltonian":
-        return cls(d["n"], tuple((float(c), str(p)) for c, p in d["terms"]),
-                   float(d.get("offset", 0.0)))
+        """The Hamiltonian of a ``to_dict`` object. An unknown key, or a value
+        not of its JSON type (``n`` a positive integer, ``terms`` a list of
+        ``[number, string]`` pairs, ``offset`` a number; bool is no number),
+        raises ``ContractError``."""
+        if not isinstance(d, dict):
+            raise ContractError("a Hamiltonian must be a JSON object")
+        unknown = sorted(d.keys() - {"n", "terms", "offset"})
+        if unknown:
+            raise ContractError(f"unknown Hamiltonian key {unknown[0]!r}")
+        n, terms, offset = d.get("n"), d.get("terms"), d.get("offset", 0.0)
+        if type(n) is not int or n < 1:
+            raise ContractError(f"Hamiltonian 'n' must be a positive integer, got {n!r}")
+        if not isinstance(terms, list) or not all(
+                isinstance(t, list) and len(t) == 2 and is_number(t[0])
+                and isinstance(t[1], str) for t in terms):
+            raise ContractError("Hamiltonian 'terms' must be a list of [number, string] pairs")
+        if not is_number(offset):
+            raise ContractError(f"Hamiltonian 'offset' must be a number, got {offset!r}")
+        return cls(n, tuple((float(c), p) for c, p in terms), float(offset))
 
 
 @dataclass(frozen=True)
@@ -301,9 +319,3 @@ def algorithmic_process_fidelity(h: PauliSumHamiltonian, spec: TrotterSpec) -> f
     u = exact_evolution_unitary(h, spec.time)
     return process_fidelity_unitaries(u, unitary_of(trotter_circuit(h, spec)))
 
-
-def full_process_fidelity(f_alg: float, f_noise: float) -> float:
-    """Product approximation of the full process fidelity."""
-    if not (0.0 <= f_alg <= 1.0 and 0.0 <= f_noise <= 1.0):
-        raise ContractError("fidelities must lie in [0, 1]")
-    return f_alg * f_noise

@@ -63,6 +63,8 @@ class BenchmarkSuite:
 def _record_for_benchmark(c: Circuit, **extra) -> dict:
     rec = {"id": c.id, "kind": "benchmark", "parent_id": None,
            "width": c.n, "depth": c.depth}
+    if "trotter" in c.meta:
+        rec["trotter"] = c.meta["trotter"]
     rec.update(extra)
     return rec
 

@@ -312,15 +312,7 @@ def _check_arrays(n: int, kind, qubits, params, layer_start):
         f"{params[g, :nparams[g] if cut[g] else 3].tolist()}"))
 
 
-def _array(values: list, dtype, limit, stand_in) -> np.ndarray:
-    """``values`` as ``dtype``, an int beyond ``limit`` as ``stand_in``, which a rule rejects."""
-    try:
-        return np.array(values, dtype=dtype)
-    except OverflowError:
-        return np.array([v if abs(v) <= limit else stand_in for v in values], dtype=dtype)
-
-
-def _decode(layers) -> tuple:
+def _decode(n: int, layers) -> tuple:
     """The ``kind``, ``qubits``, ``params`` and ``layer_start`` arrays of
     layers of ``(kind, params, qubits)`` records (``GateOp``s or plain tuples).
 
@@ -351,13 +343,25 @@ def _decode(layers) -> tuple:
         rules[f"{name} must be {what}"] = np.isin(
             np.arange(len(column)), np.repeat(np.arange(len(column)), count)[refused])
         columns.append((count, flat))
-    _raise_first(rules, layer_start,
-                 lambda g: f"{kinds[g]} on qubits {qubits[g]} with params {params[g]}")
+
+    def describe(g):
+        return f"{kinds[g]} on qubits {qubits[g]} with params {params[g]}"
+
+    _raise_first(rules, layer_start, describe)
     (count_q, flat_q), (count_p, flat_p) = columns
     q = np.full((len(kind), 2), -1, dtype=np.int64)
-    q[np.arange(2) < count_q[:, None]] = _array(flat_q, np.int64, 2 ** 62, -2)
+    try:
+        q[np.arange(2) < count_q[:, None]] = flat_q
+    except OverflowError:  # a qubit beyond int64 is out of range of every width
+        huge = np.repeat(np.arange(len(kind)), count_q)[[abs(v) >= 2 ** 63 for v in flat_q]]
+        _raise_first({f"qubit out of range for n={n}": np.isin(np.arange(len(kind)), huge)},
+                     layer_start, describe)
     p = np.zeros((len(kind), 3))
-    p[np.arange(3) < count_p[:, None]] = _array(flat_p, float, sys.float_info.max, math.inf)
+    try:
+        p[np.arange(3) < count_p[:, None]] = flat_p
+    except OverflowError:  # an int beyond float's range is stored as inf, which a rule rejects
+        p[np.arange(3) < count_p[:, None]] = [
+            v if abs(v) <= sys.float_info.max else math.inf for v in flat_p]
     return kind, q, p, layer_start
 
 
@@ -376,7 +380,7 @@ class Circuit:
     __slots__ = ("n", *_ARRAYS, "id", "meta")
 
     def __init__(self, n: int, layers=(), id: str | None = None, meta: dict | None = None):
-        self._init(n, *_decode(layers), id, meta)
+        self._init(n, *_decode(n, layers), id, meta)
 
     @classmethod
     def from_arrays(cls, n: int, kind, qubits, params, layer_start,

@@ -24,7 +24,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
-import math
 import os
 import sys
 import time
@@ -40,10 +39,13 @@ import click
 from mirrorbench.core import (
     CapacityError,
     ContractError,
+    ORACLE_MAX_N,
     FidelityRecord,
     NoiseModel,
     QasmError,
     SchemaError,
+    full_process_fidelity,
+    is_number,
     open_atomic,
     render_volumetric_svg,
     volumetric_summary,
@@ -137,6 +139,15 @@ def _integer(cfg: dict, key: str, where: str, default=None, least: int = 1,
     return _checked(value, f"{where}: {key!r}", least, many)
 
 
+def _typed(cfg: dict, key: str, where: str, default, what: str, fits):
+    """``cfg[key]``, or ``default`` if absent, when ``fits`` holds for it: a
+    value is read as the JSON type it must be, never converted."""
+    value = cfg.get(key, default)
+    if not fits(value):
+        raise ConfigError(f"{where}: {key!r} must be {what}, got {json.dumps(value)}")
+    return value
+
+
 def _coupling_from(obj, n: int) -> CouplingGraph:
     from mirrorbench.circuits import CouplingGraph
 
@@ -175,7 +186,8 @@ def _input_circuits(cfg: dict) -> list[Circuit]:
     if "qasm_paths" in inputs:
         from mirrorbench.qasm import parse_qasm
 
-        for path in inputs["qasm_paths"]:
+        for path in _typed(inputs, "qasm_paths", "inputs", None, "a list of strings",
+                           lambda v: isinstance(v, list) and all(isinstance(p, str) for p in v)):
             with _decoding(path), open(path, encoding="utf-8") as fp:
                 c = parse_qasm(fp.read())
             out.append(c.with_id(os.path.splitext(os.path.basename(path))[0]))
@@ -200,9 +212,15 @@ def _input_circuits(cfg: dict) -> list[Circuit]:
                           many=True)
         steps = _integer(family, "steps_list", "family",
                          [_integer(family, "steps", "family", 1)], many=True)
-        t = float(family.get("time", 1.0))
-        return [algos.trotter_circuit(h, algos.TrotterSpec(order, m, t))
-                for order in orders for m in steps]
+        t = float(_typed(family, "time", "family", 1.0, "a number", is_number))
+        specs = [algos.TrotterSpec(order, m, t) for order in orders for m in steps]
+        circuits = [algos.trotter_circuit(h, spec) for spec in specs]
+        if h.n <= algos.EVOLUTION_MAX_N and cfg["benchmark_type"] != "subcircuit":
+            # A fixed property of the circuit, recorded once for report (a
+            # snip of the circuit is another circuit, and records none).
+            for c, spec in zip(circuits, specs):
+                c.meta["trotter"]["F_alg"] = algos.algorithmic_process_fidelity(h, spec)
+        return circuits
     raise ConfigError(f"unknown circuit family {kind!r}")
 
 
@@ -217,21 +235,22 @@ def _load_config(path: str) -> dict:
     bt = _require(cfg, "benchmark_type")
     if bt not in ("low_level", "full_stack", "subcircuit"):
         raise ConfigError(f"bad benchmark_type {bt!r}")
-    if "seed" not in cfg:
-        raise ConfigError("config: 'seed' is mandatory (reproducibility)")
-    _checked(cfg["seed"], "config: 'seed'", least=0)
+    _integer(cfg, "seed", "config", least=0)  # mandatory, for reproducibility
     _noise(cfg)  # simulate and oracle read it; generate rejects it before writing
     return cfg
 
 
-def _experiment(out_dir: str) -> tuple[dict, Manifest]:
-    """The config and manifest that ``generate`` left in an experiment directory."""
+def _manifest(out_dir: str) -> Manifest:
     from mirrorbench.manifest import read_manifest
 
-    cfg = _load_config(_input(out_dir, "config.json"))
     path = _input(out_dir, "manifest.json")
     with _decoding(path):
-        return cfg, read_manifest(path)
+        return read_manifest(path)
+
+
+def _experiment(out_dir: str) -> tuple[dict, Manifest]:
+    """The config and manifest that ``generate`` left in an experiment directory."""
+    return _load_config(_input(out_dir, "config.json")), _manifest(out_dir)
 
 
 def _sampling_from(cfg: dict) -> SamplingParams:
@@ -244,27 +263,14 @@ def _sampling_from(cfg: dict) -> SamplingParams:
 
 def _noise(cfg: dict) -> NoiseModel:
     try:
-        return NoiseModel.from_dict(cfg.get("noise") or {})
+        return NoiseModel.from_dict(cfg.get("noise", {}))
     except ContractError as e:
         raise ConfigError(f"bad noise ({e})") from None
 
 
-@contextlib.contextmanager
-def _config_values():
-    """A bad config value, or an input file it names that cannot be read,
-    raised inside is a ConfigError."""
-    try:
-        yield
-    except KeyError as e:
-        raise ConfigError(f"missing key {e}") from None
-    except (AttributeError, TypeError, ValueError) as e:
-        raise ConfigError(f"bad value ({e})") from None
-    except OSError as e:
-        raise ConfigError(f"cannot read input file: {e}") from None
-
-
 def _build(cfg: dict) -> BenchmarkSuite:
-    """The suite a config describes; every bad value in it is a ConfigError."""
+    """The suite a config describes; every bad value in it, or an input file it
+    names that cannot be read, is a ConfigError."""
     from mirrorbench.bench import (
         ShapeSpec,
         build_full_stack,
@@ -274,11 +280,12 @@ def _build(cfg: dict) -> BenchmarkSuite:
     from mirrorbench.transpile import TranspileConfig
 
     shots = _integer(cfg, "shots", "config", 1000)
-    with _config_values():
+    try:
         circuits = _input_circuits(cfg)
         params = _sampling_from(cfg)
         bt = cfg["benchmark_type"]
-        if cfg.get("compile_to_native") and bt != "full_stack":
+        if _typed(cfg, "compile_to_native", "config", False, "true or false",
+                  lambda v: isinstance(v, bool)) and bt != "full_stack":
             from mirrorbench.transpile import decompose_to_basis
             circuits = [decompose_to_basis(c) for c in circuits]
         if bt == "low_level":
@@ -288,7 +295,8 @@ def _build(cfg: dict) -> BenchmarkSuite:
             coupling = _coupling_from(tc.get("coupling", "all_to_all"),
                                       max(c.n for c in circuits))
             tcfg = TranspileConfig(coupling,
-                                   float(tc.get("approximation_degree", 1.0)),
+                                   float(_typed(tc, "approximation_degree", "transpile",
+                                                1.0, "a number", is_number)),
                                    cfg["seed"])
             return build_full_stack(circuits, tcfg, _integer(tc, "reps", "transpile", 1),
                                     params, shots)
@@ -297,6 +305,12 @@ def _build(cfg: dict) -> BenchmarkSuite:
                                  for p in _require(shapes_cfg, "shapes", "shapes")),
                            _integer(shapes_cfg, "samples_per_shape", "shapes", 30))
         return build_subcircuit(circuits, shapes, params, shots)
+    except KeyError as e:
+        raise ConfigError(f"missing key {e}") from None
+    except (AttributeError, TypeError, ValueError) as e:
+        raise ConfigError(f"bad value ({e})") from None
+    except OSError as e:
+        raise ConfigError(f"cannot read input file: {e}") from None
 
 
 # --- commands ------------------------------------------------------------------------
@@ -504,36 +518,21 @@ def _read_results(out_dir: str) -> list[FidelityRecord]:
 @main.command()
 @click.option("--out", "out_dir", required=True, type=click.Path(exists=True))
 def report(out_dir):
-    """Render report.svg and summary.txt from results.csv."""
+    """Render report.svg and summary.txt from results.csv and manifest.json."""
     recs = _read_results(out_dir)
-    cfg = _load_config(_input(out_dir, "config.json"))
+    trotter = {r["id"]: r["trotter"] for r in _manifest(out_dir).records if "trotter" in r}
     with open_atomic(os.path.join(out_dir, "report.svg")) as fp:
         fp.write(render_volumetric_svg(recs))
     lines = ["benchmark summary", "=================", ""]
     lines.append(volumetric_summary(recs).rstrip())
-    family = cfg.get("inputs", {}).get("family", {})
-    if family.get("kind") == "trotter":
-        from mirrorbench import algos
-        from mirrorbench.storage import read_circuits
-
-        with _config_values():
-            h = _hamiltonian_from(family["hamiltonian"])
+    if trotter:
         lines += ["", "trotter fidelities (algorithmic / noise / full):"]
-        with _open_input(out_dir, "circuits.jsonl") as fp:
-            meta_by_id = {}
-            for c in read_circuits(fp):
-                if "trotter" in c.meta:
-                    meta_by_id[c.id] = c.meta["trotter"]
         for r in recs:
-            tm = meta_by_id.get(r.benchmark_id)
-            if tm is None or h.n > algos.EVOLUTION_MAX_N:
-                continue
-            spec = algos.TrotterSpec(int(tm["order"]), int(tm["steps"]),
-                                     float(tm["time"]))
-            f_alg = algos.algorithmic_process_fidelity(h, spec)
-            f_full = algos.full_process_fidelity(f_alg, r.F_clamped)
-            lines.append(f"  {r.benchmark_id}: F_alg={f_alg:.6f} "
-                         f"F_noise={r.F_clamped:.6f} F_full={f_full:.6f}")
+            f_alg = trotter.get(r.benchmark_id, {}).get("F_alg")
+            if f_alg is not None:
+                f_full = full_process_fidelity(f_alg, r.F_clamped)
+                lines.append(f"  {r.benchmark_id}: F_alg={f_alg:.6f} "
+                             f"F_noise={r.F_clamped:.6f} F_full={f_full:.6f}")
     with open_atomic(os.path.join(out_dir, "summary.txt")) as fp:
         fp.write("\n".join(lines) + "\n")
     click.echo(f"report written for {len(recs)} benchmarks")
@@ -541,8 +540,8 @@ def report(out_dir):
 
 @main.command()
 @click.option("--out", "out_dir", required=True, type=click.Path(exists=True))
-@click.option("--max-n", type=click.IntRange(min=1), default=6,
-              help="Largest width for the exact oracle.")
+@click.option("--max-n", type=click.IntRange(1, ORACLE_MAX_N), default=6,
+              help=f"Largest width for the exact oracle, at most {ORACLE_MAX_N}.")
 def oracle(out_dir, max_n):
     """Exact process fidelities (n <= max-n) next to the estimates."""
     f_hat = {r.benchmark_id: r.F_hat for r in _read_results(out_dir)}
@@ -559,17 +558,14 @@ def oracle(out_dir, max_n):
             for c in read_circuits(fp):
                 if c.id not in qualifying:
                     continue
-                f = exact_process_fidelity(c, nm, max_n=max_n)
-                est = f_hat[c.id]
-                dev = abs(est - f) if not math.isnan(est) else float("nan")
-                out_rows.append((c.id, f, est, dev))
+                out_rows.append((c.id, exact_process_fidelity(c, nm), f_hat[c.id]))
                 if len(out_rows) == len(qualifying):
                     break
     with open_atomic(os.path.join(out_dir, "oracle.csv")) as fp:
         w = csv.writer(fp)
         w.writerow(["benchmark_id", "F_exact", "F_hat", "abs_deviation"])
-        for cid, f, est, dev in out_rows:
-            w.writerow([cid, f"{f:.10g}", f"{est:.10g}", f"{dev:.10g}"])
+        for cid, f, est in out_rows:
+            w.writerow([cid, f"{f:.10g}", f"{est:.10g}", f"{abs(est - f):.10g}"])
     click.echo(f"oracle computed for {len(out_rows)} benchmarks (n <= {max_n})")
 
 

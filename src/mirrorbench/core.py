@@ -2,10 +2,11 @@
 it does any numerical work.
 
 It holds the errors that the CLI turns into exit codes, the noise model that
-every stage validates from ``config.json``, atomic file writes, and the
-fidelity records and volumetric renderers of ``report``. Nothing here imports
-numpy, so ``mirrorbench --help`` and ``mirrorbench report`` start without
-it. The modules these names belong to re-export them (``sim.NoiseModel``,
+every stage validates from ``config.json``, the oracle's width limit, atomic
+file writes, and the fidelity records, volumetric renderers and Trotter
+fidelity product of ``report``. Nothing here imports numpy, so
+``mirrorbench --help`` and ``mirrorbench report`` start without it. The
+modules these names belong to re-export them (``sim.NoiseModel``,
 ``analysis.volumetric_summary``, ...), so either name gives the same object.
 """
 
@@ -25,10 +26,12 @@ __all__ = [
     "SchemaError",
     "QasmError",
     "NoiseModel",
+    "ORACLE_MAX_N",
     "open_atomic",
     "FidelityRecord",
     "volumetric_summary",
     "render_volumetric_svg",
+    "full_process_fidelity",
 ]
 
 
@@ -66,6 +69,11 @@ class QasmError(Exception):
         super().__init__(f"line {line}, col {col}: {message}")
         self.line = line
         self.col = col
+
+
+def is_number(v) -> bool:
+    """Whether ``v`` is a JSON number as ``json`` reads it; bool is none."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 # --- noise model ---------------------------------------------------------------------
@@ -110,9 +118,14 @@ class NoiseModel:
         if unknown:
             raise ContractError(f"unknown key {unknown[0]!r}")
         for name, v in [*d.items(), *((f"theta_over[{k!r}]", v) for k, v in over.items())]:
-            if name != "theta_over" and (isinstance(v, bool) or not isinstance(v, (int, float))):
+            if name != "theta_over" and not is_number(v):
                 raise ContractError(f"{name} must be a number, got {v!r}")
         return cls(**dict(d, theta_over=dict(over)))
+
+
+# Widest circuit whose exact process fidelity ``sim`` computes; each batch of
+# Choi columns holds 4^n x 256 complex values, 67 MB at n = 7.
+ORACLE_MAX_N = 7
 
 
 # --- atomic writes -------------------------------------------------------------------
@@ -161,33 +174,15 @@ class FidelityRecord:
             raise ContractError("sigma_boot must be >= 0")
 
 
-def _pairwise_sum(xs: list[float]) -> float:
-    """The sum of ``xs`` added in numpy's pairwise order (``np.add.reduce`` on
-    a contiguous float64 array), so that a mean prints as ``np.mean``'s does."""
-    n = len(xs)
-    if n < 8:
-        total = 0.0
-        for x in xs:
-            total += x
-        return total
-    if n <= 128:
-        r = list(xs[:8])
-        i = 8
-        while i < n - n % 8:
-            for j in range(8):
-                r[j] += xs[i + j]
-            i += 8
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for x in xs[i:]:
-            total += x
-        return total
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(xs[:half]) + _pairwise_sum(xs[half:])
-
-
 def _mean(xs: list[float]) -> float:
-    return _pairwise_sum(xs) / len(xs)
+    return math.fsum(xs) / len(xs)
+
+
+def full_process_fidelity(f_alg: float, f_noise: float) -> float:
+    """Product approximation of a Trotter circuit's full process fidelity."""
+    if not (0.0 <= f_alg <= 1.0 and 0.0 <= f_noise <= 1.0):
+        raise ContractError("fidelities must lie in [0, 1]")
+    return f_alg * f_noise
 
 
 def _cells(records: list[FidelityRecord]) -> dict[tuple[int, int], list[float]]:

@@ -3,8 +3,7 @@ parameters and one record per benchmark and proxy circuit.
 
 Stdlib only, like ``core``, so that the stages that read it need not load
 the circuit code; ``storage`` re-exports its names. It is a module of its
-own so that ``--help`` and ``report``, which never read it, do not compile
-it.
+own so that ``--help``, which never reads it, does not compile it.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from mirrorbench.core import SchemaError, open_atomic
+from mirrorbench.core import SchemaError, is_number, open_atomic
 
 __all__ = ["Manifest", "read_manifest", "write_manifest"]
 
@@ -26,7 +25,8 @@ class Manifest:
 
     Records are plain dicts so unknown fields survive a read/write round-trip.
     Known record fields: id, kind (M1 | M2 | M3 | benchmark | input), parent_id,
-    target_bitstring, width, depth, shape, transpile_config_digest.
+    target_bitstring, width, depth, shape, transpile_config_digest, and trotter
+    (a Trotter benchmark's order, steps, time and, when computed, F_alg).
     """
 
     benchmark_type: str
@@ -62,6 +62,9 @@ class Manifest:
             seen.add(rec["id"])
             if rec["kind"] == "benchmark":
                 benchmark_ids.add(rec["id"])
+            tm = rec.get("trotter", {})
+            if not isinstance(tm, dict) or not is_number(tm.get("F_alg", 0.0)):
+                raise SchemaError("trotter must be an object with a numeric F_alg", p)
             tb = rec.get("target_bitstring")
             if tb is not None:
                 if "width" not in rec:

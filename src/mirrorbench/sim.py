@@ -62,7 +62,7 @@ from mirrorbench.circuits import (
     gate_matrices_1q,
     gate_matrix,
 )
-from mirrorbench.core import NoiseModel
+from mirrorbench.core import ORACLE_MAX_N, NoiseModel
 from mirrorbench.shots import ShotTable, derive_seed, fake_uniform_shots
 
 __all__ = [
@@ -462,18 +462,20 @@ def unitary_of(c: Circuit) -> np.ndarray:
 _CHOI_BATCH = 256
 
 
-def process_fidelity_channel_vs_unitary(u_target: np.ndarray, c: Circuit,
-                                        nm: NoiseModel, max_n: int = 6) -> float:
+def process_fidelity_channel_vs_unitary(u_target: np.ndarray | None, c: Circuit,
+                                        nm: NoiseModel) -> float:
     """Exact process fidelity between a target unitary channel and the noisy
-    channel realized by the circuit (readout excluded).
+    channel realized by the circuit (readout excluded); a ``u_target`` of
+    ``None`` is the circuit's ideal unitary, built after the width check.
 
     It is the overlap of the two channels' Choi states,
     ``(1/4^n) sum_ij <i| U^dag Lambda(|i><j|) U |j>``, with the Choi columns
     ``Lambda(|i><j|)`` evolved ``_CHOI_BATCH`` at a time.
     """
     n = c.n
-    if n > max_n:
-        raise CapacityError(f"n={n} exceeds oracle limit {max_n}")
+    if n > ORACLE_MAX_N:
+        raise CapacityError(f"n={n} exceeds oracle limit {ORACLE_MAX_N}")
+    u_target = unitary_of(c) if u_target is None else u_target
     dim = 1 << n
     if u_target.shape != (dim, dim):
         raise ContractError("target unitary has wrong dimension")
@@ -486,9 +488,7 @@ def process_fidelity_channel_vs_unitary(u_target: np.ndarray, c: Circuit,
     return total / 4 ** n
 
 
-def exact_process_fidelity(c: Circuit, nm: NoiseModel, max_n: int = 6) -> float:
+def exact_process_fidelity(c: Circuit, nm: NoiseModel) -> float:
     """Eq.-1 oracle: fidelity of the circuit's noisy channel to its own ideal
     unitary. Deterministic channel composition; readout error excluded."""
-    if c.n > max_n:
-        raise CapacityError(f"n={c.n} exceeds oracle limit {max_n}")
-    return process_fidelity_channel_vs_unitary(unitary_of(c), c, nm, max_n=max_n)
+    return process_fidelity_channel_vs_unitary(None, c, nm)

@@ -121,7 +121,7 @@ def _fuse_1q_runs(n: int, flat: list[GateOp]) -> list[GateOp]:
     pending: list[np.ndarray | None] = [None] * n
     out: list[GateOp] = []
     # The 1q matrices of the whole list, built in one call and used in order.
-    kinds, _, params, _ = _decode([[op for op in flat if len(op.qubits) == 1]])
+    kinds, _, params, _ = _decode(n, [[op for op in flat if len(op.qubits) == 1]])
     mats = iter(gate_matrices_1q(kinds, params))
 
     def flush(q: int):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -147,6 +148,24 @@ class TestHamiltonians:
     def test_dict_round_trip(self):
         h = heisenberg(3)
         assert PauliSumHamiltonian.from_dict(h.to_dict()) == h
+
+    @pytest.mark.parametrize("d, message", [
+        ({"n": 3.0, "terms": [[1.0, "ZZI"]]},
+         "Hamiltonian 'n' must be a positive integer, got 3.0"),
+        ({"n": True, "terms": []}, "Hamiltonian 'n' must be a positive integer, got True"),
+        ({"terms": []}, "Hamiltonian 'n' must be a positive integer, got None"),
+        ({"n": 3, "terms": [[True, "ZZI"]]}, "Hamiltonian 'terms' must be a list of"),
+        ({"n": 3, "terms": [["0.5", "IXX"]]}, "Hamiltonian 'terms' must be a list of"),
+        ({"n": 3, "terms": [[0.5, 7]]}, "Hamiltonian 'terms' must be a list of"),
+        ({"n": 3, "terms": [[0.5, "IXX", 1]]}, "Hamiltonian 'terms' must be a list of"),
+        ({"n": 3, "terms": "ZZI"}, "Hamiltonian 'terms' must be a list of"),
+        ({"n": 3, "terms": [], "offset": "1"}, "Hamiltonian 'offset' must be a number, got '1'"),
+        ({"n": 3, "terms": [], "field": 2.0}, "unknown Hamiltonian key 'field'"),
+        ([3, []], "a Hamiltonian must be a JSON object"),
+    ])
+    def test_from_dict_rejects_what_it_would_coerce(self, d, message):
+        with pytest.raises(ContractError, match=f"^{re.escape(message)}"):
+            PauliSumHamiltonian.from_dict(d)
 
     def test_validation(self):
         with pytest.raises(ContractError):

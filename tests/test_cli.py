@@ -11,6 +11,7 @@ from click.testing import CliRunner
 from mirrorbench import sim
 from mirrorbench.circuits import CapacityError, ContractError
 from mirrorbench.cli import main
+from mirrorbench.core import ORACLE_MAX_N
 
 BRICK_CONFIG = {
     "benchmark_type": "low_level",
@@ -132,6 +133,37 @@ BAD_INTEGERS = {
     "samples-per-shape": (with_changes(SUBCIRCUIT_CONFIG, {"shapes": {
         "samples_per_shape": 0}}), "'samples_per_shape'"),
 }
+FILE_TROTTER_CONFIG = with_changes(TROTTER_CONFIG, {"inputs": {"family": {
+    "hamiltonian": {"type": "file", "path": "ham.json"}}}})
+# name -> (config whose one value was coerced or ignored, the key the error
+# names, the Hamiltonian written to ham.json or None): a list or 0 noise ran
+# noiseless, float() read "2" and true, any truthy compile_to_native compiled,
+# a string of paths was read one character at a time, and the Hamiltonian
+# file's n = 3.0 ended report in a TypeError.
+BAD_VALUES = {
+    "list-noise": (dict(BRICK_CONFIG, noise=[]), "noise", None),
+    "zero-noise": (dict(BRICK_CONFIG, noise=0), "noise", None),
+    "string-time": (with_changes(TROTTER_CONFIG, {"inputs": {"family": {"time": "2"}}}),
+                    "'time'", None),
+    "bool-time": (with_changes(TROTTER_CONFIG, {"inputs": {"family": {"time": True}}}),
+                  "'time'", None),
+    "string-approximation-degree": (with_changes(FULL_STACK_CONFIG, {"transpile": {
+        "approximation_degree": "0.99"}}), "'approximation_degree'", None),
+    "bool-approximation-degree": (with_changes(FULL_STACK_CONFIG, {"transpile": {
+        "approximation_degree": True}}), "'approximation_degree'", None),
+    "string-compile-to-native": (dict(TROTTER_CONFIG, compile_to_native="no"),
+                                 "'compile_to_native'", None),
+    "string-qasm-paths": (dict(BRICK_CONFIG, inputs={"qasm_paths": "a.qasm"}),
+                          "'qasm_paths'", None),
+    "hamiltonian-float-n": (FILE_TROTTER_CONFIG, "'n'",
+                            {"n": 3.0, "terms": [[1.0, "ZZI"]]}),
+    "hamiltonian-bool-coefficient": (FILE_TROTTER_CONFIG, "'terms'",
+                                     {"n": 3, "terms": [[True, "ZZI"]]}),
+    "hamiltonian-string-coefficient": (FILE_TROTTER_CONFIG, "'terms'",
+                                       {"n": 3, "terms": [["0.5", "IXX"]]}),
+    "hamiltonian-unknown-key": (FILE_TROTTER_CONFIG, "'nn'",
+                                {"n": 3, "nn": 3, "terms": [[1.0, "ZZI"]]}),
+}
 
 
 def read_csv(path):
@@ -210,7 +242,8 @@ class TestPipeline:
     @pytest.mark.parametrize("args", [
         ["simulate", "--shots", "500"],  # shots come only from the manifest
         ["simulate", "--jobs", "0"], ["analyze", "--bootstrap", "0"],
-        ["analyze", "--bootstrap", "1"], ["oracle", "--max-n", "0"]])
+        ["analyze", "--bootstrap", "1"], ["oracle", "--max-n", "0"],
+        ["oracle", "--max-n", str(ORACLE_MAX_N + 1)]])
     def test_simulate_non_positive_count_exits_2(self, runner, tmp_path, args):
         # Covers the count options of every stage; the earlier stages run
         # first, so only the option can make the stage fail.
@@ -428,7 +461,7 @@ class TestPipeline:
 
     def test_oracle_max_n_reaches_oracle(self, runner, tmp_path, monkeypatch):
         # A real n=7 oracle takes most of a minute; the stub records the
-        # limit it is given, with the real oracle's default.
+        # width of each circuit it is given.
         cfg = dict(BRICK_CONFIG, shots=50, sampling={"m1": 1, "m2": 1, "m3": 1},
                    inputs={"family": {"kind": "brickwork", "n": 7, "depth": 2,
                                       "seed": 0}})
@@ -437,13 +470,13 @@ class TestPipeline:
         run_ok(runner, ["analyze", "--out", out, "--bootstrap", "5"])
         seen = []
 
-        def oracle_stub(c, nm, max_n=6):
-            seen.append((c.n, max_n))
+        def oracle_stub(c, nm):
+            seen.append(c.n)
             return 1.0
 
         monkeypatch.setattr(sim, "exact_process_fidelity", oracle_stub)
         run_ok(runner, ["oracle", "--out", out, "--max-n", "7"])
-        assert seen == [(7, 7)]
+        assert seen == [7]
 
 
 class TestTrotterReport:
@@ -471,41 +504,76 @@ class TestTrotterReport:
         assert "F_alg=1.000000" in summary  # diagonal Hamiltonian is exact
 
     def test_report_leaves_out_what_algos_cannot_evolve(self, runner, tmp_path, monkeypatch):
-        # report asks algos how wide an exact evolution may be, so the two
-        # cannot disagree and end report in a CapacityError.
+        # generate asks algos how wide an exact evolution may be, so the two
+        # cannot disagree and end generate in a CapacityError.
         from mirrorbench import algos
 
         cfg = {"benchmark_type": "low_level", "compile_to_native": True,
                "inputs": {"family": {"kind": "trotter",
                                      "hamiltonian": {"type": "tfim", "n": 3}}},
                "sampling": {"m1": 1, "m2": 1, "m3": 1}, "shots": 20, "seed": 1}
+        monkeypatch.setattr(algos, "EVOLUTION_MAX_N", 2)
+        with pytest.raises(CapacityError):
+            algos.algorithmic_process_fidelity(algos.tfim(3), algos.TrotterSpec())
         out = str(tmp_path / "exp")
         run_ok(runner, ["generate", "--config", write_config(tmp_path, cfg), "--out", out])
         run_ok(runner, ["simulate", "--out", out])
         run_ok(runner, ["analyze", "--out", out, "--bootstrap", "5"])
-        monkeypatch.setattr(algos, "EVOLUTION_MAX_N", 2)
-        with pytest.raises(CapacityError):
-            algos.algorithmic_process_fidelity(algos.tfim(3), algos.TrotterSpec())
         run_ok(runner, ["report", "--out", out])
         summary = pathlib.Path(out, "summary.txt").read_text()
         assert "trotter fidelities" in summary and "F_alg=" not in summary
+        records = json.loads(pathlib.Path(out, "manifest.json").read_text())["records"]
+        assert [r["trotter"] for r in records if r["kind"] == "benchmark"] == \
+            [{"order": 1, "steps": 1, "time": 1.0}]
 
-    def test_report_with_moved_hamiltonian_file_exits_2(self, runner, tmp_path):
+    def test_report_reads_only_results_and_manifest(self, runner, tmp_path):
+        # F_alg is recorded at generate, so report needs neither the
+        # Hamiltonian file nor circuits.jsonl nor config.json.
         from mirrorbench import algos
 
+        h = algos.tfim(3)
         ham = tmp_path / "ham.json"
-        ham.write_text(json.dumps(algos.tfim(3).to_dict()))
+        ham.write_text(json.dumps(h.to_dict()))
         cfg = {"benchmark_type": "low_level", "compile_to_native": True,
-               "inputs": {"family": {"kind": "trotter",
+               "inputs": {"family": {"kind": "trotter", "orders": [1, 2], "steps_list": [1, 3],
+                                     "time": 0.5,
                                      "hamiltonian": {"type": "file", "path": str(ham)}}},
                "sampling": {"m1": 1, "m2": 1, "m3": 1}, "shots": 20, "seed": 1}
         out = str(tmp_path / "exp")
         run_ok(runner, ["generate", "--config", write_config(tmp_path, cfg), "--out", out])
         run_ok(runner, ["simulate", "--out", out])
         run_ok(runner, ["analyze", "--out", out, "--bootstrap", "5"])
+        run_ok(runner, ["report", "--out", out])
+        summary = pathlib.Path(out, "summary.txt")
+        before = summary.read_bytes()
+        assert before.count(b"F_alg=") == 4
+        records = json.loads(pathlib.Path(out, "manifest.json").read_text())["records"]
+        for r in (r for r in records if r["kind"] == "benchmark"):
+            tm = r["trotter"]
+            spec = algos.TrotterSpec(tm["order"], tm["steps"], tm["time"])
+            assert tm["F_alg"] == algos.algorithmic_process_fidelity(h, spec), r["id"]
         ham.rename(tmp_path / "moved.json")
-        result = run_err(runner, ["report", "--out", out], 2)
-        assert "ham.json" in result.stderr
+        for name in ("circuits.jsonl", "config.json", "summary.txt"):
+            os.remove(os.path.join(out, name))
+        run_ok(runner, ["report", "--out", out])
+        assert summary.read_bytes() == before
+
+
+    def test_subcircuits_of_trotter_inputs_have_no_trotter_section(self, runner, tmp_path,
+                                                                   monkeypatch):
+        # A snip is not the Trotter circuit, so generate evolves nothing.
+        from mirrorbench import algos
+
+        monkeypatch.setattr(algos, "algorithmic_process_fidelity", None)
+        cfg = with_changes(TROTTER_CONFIG, {
+            "benchmark_type": "subcircuit", "shots": 20,
+            "shapes": {"shapes": [[2, 2]], "samples_per_shape": 1}})
+        out = str(tmp_path / "exp")
+        run_ok(runner, ["generate", "--config", write_config(tmp_path, cfg), "--out", out])
+        run_ok(runner, ["simulate", "--out", out])
+        run_ok(runner, ["analyze", "--out", out, "--bootstrap", "5"])
+        run_ok(runner, ["report", "--out", out])
+        assert "trotter" not in pathlib.Path(out, "summary.txt").read_text()
 
 
 class TestSubcircuitConfig:
@@ -541,6 +609,44 @@ class TestFullStackConfig:
                                   "--out", out], 2)
         assert key in result.stderr
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("cfg, key, hamiltonian", BAD_VALUES.values(),
+                             ids=BAD_VALUES.keys())
+    def test_mistyped_value_exits_2_naming_it(self, runner, tmp_path, monkeypatch, cfg, key,
+                                              hamiltonian):
+        monkeypatch.chdir(tmp_path)
+        if hamiltonian is not None:
+            (tmp_path / "ham.json").write_text(json.dumps(hamiltonian))
+        result = run_err(runner, ["generate", "--config", write_config(tmp_path, cfg),
+                                  "--out", "exp"], 2)
+        assert key in result.stderr
+        assert not os.path.exists("exp")
+
+    def test_full_stack_trotter_benchmarks_get_f_alg_lines(self, runner, tmp_path):
+        # The circuit's trotter meta survives transpile into the record of
+        # each compiled benchmark.
+        from mirrorbench import algos
+
+        cfg = {"benchmark_type": "full_stack",
+               "inputs": {"family": {"kind": "trotter", "orders": [1, 2],
+                                     "hamiltonian": {"type": "tfim", "n": 3}}},
+               "transpile": {"coupling": "line", "reps": 1},
+               "sampling": {"m1": 1, "m2": 1, "m3": 1}, "shots": 20, "seed": 4}
+        out = str(tmp_path / "exp")
+        run_ok(runner, ["generate", "--config", write_config(tmp_path, cfg), "--out", out])
+        run_ok(runner, ["simulate", "--out", out])
+        run_ok(runner, ["analyze", "--out", out, "--bootstrap", "5"])
+        run_ok(runner, ["report", "--out", out])
+        records = json.loads(pathlib.Path(out, "manifest.json").read_text())["records"]
+        bench = [r for r in records if r["kind"] == "benchmark"]
+        assert [r["id"] for r in bench] == ["trotter-o1m1t1.rep0.native",
+                                            "trotter-o2m1t1.rep0.native"]
+        summary = pathlib.Path(out, "summary.txt").read_text()
+        for r in bench:
+            f_alg = algos.algorithmic_process_fidelity(
+                algos.tfim(3), algos.TrotterSpec(r["trotter"]["order"]))
+            assert r["trotter"]["F_alg"] == f_alg
+            assert f"  {r['id']}: F_alg={f_alg:.6f} F_noise=" in summary
 
     def test_full_stack_pipeline_with_jobs(self, runner, tmp_path):
         cfg = {

@@ -66,6 +66,29 @@ def test_report_does_not_load_numpy(experiment):
     assert os.path.exists(os.path.join(experiment, "summary.txt"))
 
 
+def test_trotter_report_reads_no_circuit_code(tmp_path):
+    # The Trotter fidelities come from manifest.json, so report loads neither
+    # numpy nor the circuit, storage or Hamiltonian code.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "benchmark_type": "low_level",
+        "compile_to_native": True,
+        "inputs": {"family": {"kind": "trotter", "hamiltonian": {"type": "tfim", "n": 3}}},
+        "sampling": {"m1": 1, "m2": 1, "m3": 1},
+        "shots": 20,
+        "seed": 5,
+    }))
+    out = str(tmp_path / "exp")
+    for args in (["generate", "--config", str(config)], ["simulate", "--fake-uniform"],
+                 ["analyze", "--bootstrap", "5"]):
+        result = CliRunner().invoke(main, [*args, "--out", out])
+        assert result.exit_code == 0, result.output
+    modules = stage_modules("report", "--out", out)
+    unused = {"numpy", "mirrorbench.storage", "mirrorbench.circuits", "mirrorbench.algos"}
+    assert unused & modules == set()
+    assert "F_alg=" in pathlib.Path(out, "summary.txt").read_text()
+
+
 @pytest.mark.parametrize("args", [["simulate"], ["analyze", "--bootstrap", "5"],
                                   ["oracle"]], ids=lambda a: a[0])
 def test_later_stages_skip_generate_modules(experiment, args):
@@ -132,9 +155,10 @@ def test_public_names_resolve_to_their_defining_objects():
 
 
 def test_moved_names_are_reexported_unchanged():
-    from mirrorbench import analysis, circuits, core, manifest, qasm, shots, sim, storage
+    from mirrorbench import algos, analysis, circuits, core, manifest, qasm, shots, sim, storage
 
-    pairs = [(circuits, "CapacityError"), (circuits, "ContractError"),
+    pairs = [(algos, "full_process_fidelity"), (circuits, "CapacityError"),
+             (circuits, "ContractError"),
              (storage, "SchemaError"), (storage, "open_atomic"), (qasm, "QasmError"),
              (sim, "NoiseModel"), (analysis, "FidelityRecord"),
              (analysis, "volumetric_summary"), (analysis, "render_volumetric_svg")]

@@ -28,6 +28,7 @@ from mirrorbench.circuits import (
     gate_matrix,
     layerize,
 )
+from mirrorbench.core import ORACLE_MAX_N
 from mirrorbench.sim import (
     NoiseModel,
     ShotTable,
@@ -431,8 +432,11 @@ class TestExactProcessFidelity:
             assert f1 == pytest.approx(f2, abs=1e-8)
 
     def test_capacity(self):
-        with pytest.raises(CapacityError):
-            exact_process_fidelity(Circuit(7, ()), NoiseModel.noiseless())
+        # The width is checked before the circuit's unitary is built.
+        n = ORACLE_MAX_N + 1
+        with mock.patch.object(sim, "unitary_of", side_effect=AssertionError), \
+                pytest.raises(CapacityError, match=f"^n={n} exceeds oracle limit {ORACLE_MAX_N}$"):
+            exact_process_fidelity(Circuit(n, ()), NoiseModel.noiseless())
 
 
 @pytest.mark.parametrize("simulate, limit, message", [

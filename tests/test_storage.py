@@ -111,7 +111,8 @@ BAD_GATES = {
                      "params must be real numbers: RZ on qubits [0] with params ['1']"),
     # Ints too large to store.
     "huge-qubit": ([[gate("X", [0]), gate("X", [10 ** 30])]], (0, 1),
-                   "qubit out of range for n=2: X on qubits [-2] with params []"),
+                   "qubit out of range for n=2: "
+                   "X on qubits [1000000000000000000000000000000] with params []"),
     "huge-param": ([[gate("RZ", [0], [10 ** 400])]], (0, 0),
                    "non-finite parameter: RZ on qubits [0] with params [inf]"),
 }
