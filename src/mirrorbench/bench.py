@@ -27,8 +27,8 @@ __all__ = [
     "build_subcircuit",
 ]
 
-# Widest input whose compilations are checked against its dense unitary for
-# the intrinsic fidelity; wider ones record the per-gate drop budget.
+# Widest coupling whose compilations are checked against the input's dense
+# unitary for the intrinsic fidelity; wider ones record the drop budget.
 _INTRINSIC_MAX_N = 10
 
 
@@ -112,13 +112,15 @@ def build_full_stack(circuits: list[Circuit], cfg: TranspileConfig, reps: int,
     The mirror halves are built from the compiled circuit, so its noise
     fidelity is what gets estimated; the intrinsic fidelity of the compiled
     unitary to the intended one is recorded per benchmark record (exact dense
-    value for n <= _INTRINSIC_MAX_N, the per-gate drop budget above that).
+    value when the coupling has at most _INTRINSIC_MAX_N wires, the per-gate
+    drop budget above that). The coupling may be wider than an input: the
+    compiled circuit, and its permutation, cover all of its wires.
     """
     if reps < 1:
         raise ContractError("reps must be >= 1")
     benchmarks: list[tuple[Circuit, dict]] = []
     for c in circuits:
-        intended = unitary_of(c) if c.n <= _INTRINSIC_MAX_N else None
+        intended = unitary_of(c) if cfg.coupling.n <= _INTRINSIC_MAX_N else None
         for r in range(reps):
             seed = int(derive_seed(params.seed, c.id, "fullstack", r)
                        .integers(0, 2 ** 31))
@@ -126,17 +128,17 @@ def build_full_stack(circuits: list[Circuit], cfg: TranspileConfig, reps: int,
             compiled = transpile(c, rcfg)
             compiled = compiled.with_id(f"{c.id}.rep{r}.native")
             if intended is not None:
-                perm = compiled.meta.get("permutation", tuple(range(compiled.n)))
-                u = permutation_matrix(perm, compiled.n).conj().T @ unitary_of(compiled)
+                u = (permutation_matrix(compiled.meta["permutation"], compiled.n).conj().T
+                     @ unitary_of(compiled))
                 pad = np.eye(1 << (compiled.n - c.n))
                 intrinsic = process_fidelity_unitaries(np.kron(intended, pad), u)
             else:
-                intrinsic = compiled.meta.get("intrinsic_fidelity_budget", 1.0)
+                intrinsic = compiled.meta["intrinsic_fidelity_budget"]
             rec = _record_for_benchmark(
                 compiled, parent_id=None, source_id=c.id, rep=r,
                 intrinsic_fidelity=float(intrinsic),
                 transpile_config_digest=rcfg.digest(),
-                permutation=list(compiled.meta.get("permutation", ())))
+                permutation=list(compiled.meta["permutation"]))
             benchmarks.append((compiled, rec))
     return _suite("full_stack", benchmarks, params, shots)
 
@@ -151,22 +153,16 @@ def _connected_subset(pairs: np.ndarray, active: list[int], w: int, rng) -> list
     (all below ``w``), when the graph cannot grow a connected component of
     size w. Every qubit returned is below the circuit's width.
     """
-    adj: dict[int, set[int]] = {q: set() for q in active}
-    for a, b in pairs.tolist():
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    pool = list(adj)
     for _ in range(20):
-        if not pool:
+        if not active:
             break
-        seed_q = int(pool[rng.integers(len(pool))])
-        subset = {seed_q}
-        frontier = sorted(adj[seed_q] - subset)
-        while len(subset) < w and frontier:
-            nxt = int(frontier[rng.integers(len(frontier))])
-            subset.add(nxt)
-            frontier = sorted(
-                {x for q in subset for x in adj.get(q, ())} - subset)
+        subset = [int(active[rng.integers(len(active))])]
+        while len(subset) < w:
+            # the partners of the subset's members in the window, minus the subset
+            frontier = np.setdiff1d(pairs[np.isin(pairs, subset)[:, ::-1]], subset)
+            if not len(frontier):
+                break
+            subset.append(int(frontier[rng.integers(len(frontier))]))
         if len(subset) == w:
             return sorted(subset)
     # fall back to active qubits, topped up with the smallest others

@@ -567,7 +567,11 @@ def u3_params_from_matrices(ms: np.ndarray):
 
 @dataclass(frozen=True)
 class CouplingGraph:
-    """Undirected qubit-connectivity graph; must be connected, no self-loops."""
+    """Undirected qubit-connectivity graph; must be connected, no self-loops.
+
+    Each wire's sorted neighbours are tabled at construction and its hop
+    distances on first use; the tables take no part in equality or hashing.
+    """
 
     n: int
     edges: frozenset[tuple[int, int]]
@@ -575,11 +579,16 @@ class CouplingGraph:
     def __post_init__(self):
         norm = frozenset(tuple(sorted(e)) for e in self.edges)
         object.__setattr__(self, "edges", norm)
+        table = [[] for _ in range(self.n)]
         for a, b in norm:
             if a == b:
                 raise ContractError("self-loop in coupling graph")
             if not (0 <= a < self.n and 0 <= b < self.n):
                 raise ContractError("coupling edge out of range")
+            table[a].append(b)
+            table[b].append(a)
+        object.__setattr__(self, "_neighbors", tuple(tuple(sorted(t)) for t in table))
+        object.__setattr__(self, "_distances", [None] * self.n)
         if self.n > 1 and -1 in self.distances_from(0):
             raise ContractError("coupling graph must be connected")
 
@@ -591,21 +600,23 @@ class CouplingGraph:
     def all_to_all(cls, n: int) -> "CouplingGraph":
         return cls(n, frozenset((i, j) for i in range(n) for j in range(i + 1, n)))
 
-    def neighbors(self, q: int) -> list[int]:
-        return sorted({b for a, b in self.edges if a == q} |
-                      {a for a, b in self.edges if b == q})
+    def neighbors(self, q: int) -> tuple[int, ...]:
+        return self._neighbors[q]
 
     def has_edge(self, a: int, b: int) -> bool:
-        return tuple(sorted((a, b))) in self.edges
+        return (min(a, b), max(a, b)) in self.edges
 
-    def distances_from(self, src: int) -> list[int]:
-        dist = [-1] * self.n
-        dist[src] = 0
-        queue = deque([src])
-        while queue:
-            q = queue.popleft()
-            for r in self.neighbors(q):
-                if dist[r] < 0:
-                    dist[r] = dist[q] + 1
-                    queue.append(r)
-        return dist
+    def distances_from(self, src: int) -> tuple[int, ...]:
+        """Hops from ``src`` to each wire (-1 if unreachable), searched once."""
+        if self._distances[src] is None:
+            dist = [-1] * self.n
+            dist[src] = 0
+            queue = deque([src])
+            while queue:
+                q = queue.popleft()
+                for r in self._neighbors[q]:
+                    if dist[r] < 0:
+                        dist[r] = dist[q] + 1
+                        queue.append(r)
+            self._distances[src] = tuple(dist)
+        return self._distances[src]

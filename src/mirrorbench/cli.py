@@ -217,9 +217,13 @@ def _input_circuits(cfg: dict) -> list[Circuit]:
         circuits = [algos.trotter_circuit(h, spec) for spec in specs]
         if h.n <= algos.EVOLUTION_MAX_N and cfg["benchmark_type"] != "subcircuit":
             # A fixed property of the circuit, recorded once for report (a
-            # snip of the circuit is another circuit, and records none).
-            for c, spec in zip(circuits, specs):
-                c.meta["trotter"]["F_alg"] = algos.algorithmic_process_fidelity(h, spec)
+            # snip of the circuit is another circuit, and records none); the
+            # family shares one exp(-iHt), so H is diagonalized once.
+            from mirrorbench.sim import process_fidelity_unitaries, unitary_of
+
+            u = algos.exact_evolution_unitary(h, t)
+            for c in circuits:
+                c.meta["trotter"]["F_alg"] = process_fidelity_unitaries(u, unitary_of(c))
         return circuits
     raise ConfigError(f"unknown circuit family {kind!r}")
 
@@ -477,7 +481,7 @@ def _write_results(out_dir: str, records: list[FidelityRecord]):
         w.writerow(RESULT_COLUMNS)
         for r in records:
             sw, sd = r.shape if r.shape else ("", "")
-            w.writerow([r.benchmark_id, r.kind, r.width, r.depth, sw, sd,
+            w.writerow([r.benchmark_id, "benchmark", r.width, r.depth, sw, sd,
                         f"{r.F_hat:.10g}", f"{r.F_clamped:.10g}",
                         f"{r.sigma_boot:.10g}", f"{r.S1:.10g}",
                         f"{r.S2:.10g}", f"{r.S3:.10g}", ";".join(r.flags)])

@@ -166,7 +166,6 @@ class FidelityRecord:
     width: int
     depth: int
     shape: tuple[int, int] | None = None
-    kind: str = "benchmark"
     flags: tuple[str, ...] = ()
 
     def __post_init__(self):

@@ -163,55 +163,40 @@ def route(c: Circuit, coupling: CouplingGraph, seed: int = 0) -> Circuit:
     Greedy nearest-neighbor heuristic with lookahead 1: each inserted SWAP
     minimizes the distance for the current gate, breaking ties by the next
     pending 2-qubit gate's distance and then by a seeded random draw. The
-    final logical->physical permutation is stored in ``meta['permutation']``.
+    final logical->physical permutation of all ``coupling.n`` wires (those
+    past ``c.n`` carry no gate) is stored in ``meta['permutation']``.
     """
     if coupling.n < c.n:
         raise ContractError("coupling graph smaller than circuit")
     rng = derive_seed(seed, c.id, "route")
-    phys = list(range(c.n))  # phys[logical] = physical wire
+    dist = coupling.distances_from
+    phys = list(range(coupling.n))  # phys[logical] = physical wire
+    logical = list(range(coupling.n))  # its inverse
 
-    flat = [op for op in c.ops()]
-    two_q_positions = [i for i, op in enumerate(flat) if len(op.qubits) == 2]
-    next_2q: dict[int, int | None] = {}
-    for j, pos in enumerate(two_q_positions):
-        next_2q[pos] = two_q_positions[j + 1] if j + 1 < len(two_q_positions) else None
+    def score(u: int, v: int, wires: tuple) -> tuple:
+        """Once physical u and v swap: the distance between the gate's ends
+        (``wires[:2]``), then the next 2-qubit gate's (0 if none), then a draw."""
+        moved = {u: v, v: u}
+        na, nb, *later = (moved.get(phys[q], phys[q]) for q in wires)
+        return dist(na)[nb], (dist(later[0])[later[1]] if later else 0), rng.random()
 
+    flat = list(c.ops())
+    pairs = [op.qubits for op in flat if len(op.qubits) == 2]
+    done = 0  # 2-qubit gates routed so far
     out: list[GateOp] = []
-    for i, op in enumerate(flat):
+    for op in flat:
         if len(op.qubits) == 1:
             out.append(GateOp(op.kind, op.params, (phys[op.qubits[0]],)))
             continue
         a, b = op.qubits
+        done += 1
+        wires = (a, b, *pairs[done]) if done < len(pairs) else (a, b)
         while not coupling.has_edge(phys[a], phys[b]):
-            pa, pb = phys[a], phys[b]
-            dist_b = coupling.distances_from(pb)
-            dist_a = coupling.distances_from(pa)
-            candidates = [(pa, x) for x in coupling.neighbors(pa)] + \
-                         [(pb, x) for x in coupling.neighbors(pb)]
-            best = None
-            for u, v in candidates:
-                swapped = {u: v, v: u}
-                na, nb = swapped.get(pa, pa), swapped.get(pb, pb)
-                primary = dist_b[na] if nb == pb else dist_a[nb]
-                look = 0
-                nxt = next_2q[i]
-                if nxt is not None:
-                    la, lb = flat[nxt].qubits
-                    # distance of the next gate's endpoints after this swap
-                    pla, plb = phys[la], phys[lb]
-                    pla, plb = swapped.get(pla, pla), swapped.get(plb, plb)
-                    look = coupling.distances_from(pla)[plb]
-                score = (primary, look, rng.random())
-                if best is None or score < best[0]:
-                    best = (score, u, v)
-            _, u, v = best
+            _, u, v = min((score(u, v, wires), u, v)
+                          for u in (phys[a], phys[b]) for v in coupling.neighbors(u))
             out.append(GateOp("SWAP", (), (u, v)))
-            inv = {p: l for l, p in enumerate(phys)}
-            lu, lv = inv.get(u), inv.get(v)
-            if lu is not None:
-                phys[lu] = v
-            if lv is not None:
-                phys[lv] = u
+            lu, lv = logical[u], logical[v]
+            phys[lu], phys[lv], logical[u], logical[v] = v, u, lv, lu
         out.append(GateOp(op.kind, op.params, (phys[a], phys[b])))
 
     meta = dict(c.meta)
@@ -265,14 +250,10 @@ def transpile(c: Circuit, cfg: TranspileConfig) -> Circuit:
     """
     pruned, dropped = approximate_prune(c, cfg.approximation_degree)
     native = decompose_to_basis(pruned)
-    routed = route(native, cfg.coupling, cfg.seed)
-    final = decompose_to_basis(routed)
-    budget = float(np.prod([f for _, f in dropped])) if dropped else 1.0
-    meta = dict(final.meta)
-    meta.update({
-        "intrinsic_fidelity_budget": budget,
+    final = decompose_to_basis(route(native, cfg.coupling, cfg.seed)).with_id(c.id + ".native")
+    final.meta.update({
+        "intrinsic_fidelity_budget": float(np.prod([f for _, f in dropped])),
         "dropped_gates": len(dropped),
         "transpile_config_digest": cfg.digest(),
-        "permutation": routed.meta.get("permutation", tuple(range(final.n))),
     })
-    return Circuit(final.n, final.layers, c.id + ".native", meta)
+    return final

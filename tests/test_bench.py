@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from mirrorbench.bench import (
 )
 from mirrorbench.circuits import Circuit, ContractError, CouplingGraph, GateOp
 from mirrorbench.mirror import SamplingParams
+from mirrorbench.storage import circuit_to_json
 from mirrorbench.transpile import TranspileConfig
 
 from tests.test_circuits import random_native_circuit
@@ -136,6 +139,18 @@ class TestSnip:
             snip(c, 5, 2, np.random.default_rng(0))
         with pytest.raises(ContractError):
             snip(c, 2, 7, np.random.default_rng(0))
+
+    def test_golden_snips(self):
+        # Pinned byte for byte: the window and subset draws, the connected
+        # growth and the fallback (the last three shapes) must not move.
+        c = brickwork_u3_cz(12, 10, 0)
+        shapes = [(2, 3), (4, 5), (7, 10), (11, 2), (5, 1), (12, 1), (3, 2)]
+        got = [hashlib.sha256(circuit_to_json(snip(c, w, d, np.random.default_rng(k)))
+                              .encode()).hexdigest()[:16]
+               for k, (w, d) in enumerate(shapes)]
+        assert got == ["a927fe8c04609468", "b65c368eee725b5a", "c4085d04e2d9a32e",
+                       "0524ddb4f72b8b33", "ef7b1e2a174bb1dc", "cbadb4c5d6a78afb",
+                       "2e0dce44e8126670"]
 
 
 class TestSubcircuitSuite:

@@ -263,3 +263,15 @@ class TestCouplingGraph:
         g = CouplingGraph.line(5)
         d = g.distances_from(0)
         assert d[4] == 4 and d[0] == 0
+        assert g.distances_from(3) == (3, 2, 1, 0, 1)
+        # searched once per wire, then read from the table
+        assert g.distances_from(3) is g.distances_from(3)
+
+    def test_tables(self):
+        star = CouplingGraph(5, frozenset({(3, 0), (0, 1), (4, 0), (0, 2)}))
+        assert star.neighbors(0) == (1, 2, 3, 4) and star.neighbors(3) == (0,)
+        assert star.has_edge(3, 0) and star.has_edge(0, 3) and not star.has_edge(1, 2)
+        assert [star.distances_from(q)[4] for q in range(5)] == [1, 2, 2, 2, 0]
+        # the tables are derived, so they take no part in equality
+        same = CouplingGraph(5, star.edges)
+        assert star == same and hash(star) == hash(same)

@@ -1,3 +1,4 @@
+import cmath
 import csv
 import hashlib
 import json
@@ -558,13 +559,28 @@ class TestTrotterReport:
         run_ok(runner, ["report", "--out", out])
         assert summary.read_bytes() == before
 
+    def test_generate_evolves_once_per_config(self, runner, tmp_path, monkeypatch):
+        # Every circuit of a family shares H and t, so one exp(-iHt) scores them all.
+        from mirrorbench import algos
+
+        calls = []
+        evolve = algos.exact_evolution_unitary
+        monkeypatch.setattr(algos, "exact_evolution_unitary",
+                            lambda h, t: calls.append(t) or evolve(h, t))
+        cfg = with_changes(TROTTER_CONFIG, {"inputs": {"family": {
+            "orders": [1, 2], "steps_list": [1, 2], "time": 0.7}}})
+        out = str(tmp_path / "exp")
+        run_ok(runner, ["generate", "--config", write_config(tmp_path, cfg), "--out", out])
+        assert calls == [0.7]
+        records = json.loads(pathlib.Path(out, "manifest.json").read_text())["records"]
+        assert sum("F_alg" in r.get("trotter", {}) for r in records) == 4
 
     def test_subcircuits_of_trotter_inputs_have_no_trotter_section(self, runner, tmp_path,
                                                                    monkeypatch):
         # A snip is not the Trotter circuit, so generate evolves nothing.
         from mirrorbench import algos
 
-        monkeypatch.setattr(algos, "algorithmic_process_fidelity", None)
+        monkeypatch.setattr(algos, "exact_evolution_unitary", None)
         cfg = with_changes(TROTTER_CONFIG, {
             "benchmark_type": "subcircuit", "shots": 20,
             "shapes": {"shapes": [[2, 2]], "samples_per_shape": 1}})
@@ -647,6 +663,51 @@ class TestFullStackConfig:
                 algos.tfim(3), algos.TrotterSpec(r["trotter"]["order"]))
             assert r["trotter"]["F_alg"] == f_alg
             assert f"  {r['id']}: F_alg={f_alg:.6f} F_noise=" in summary
+
+    def benchmark_records(self, runner, tmp_path, cfg):
+        out = str(tmp_path / "exp")
+        run_ok(runner, ["generate", "--config", write_config(tmp_path, cfg), "--out", out])
+        records = json.loads(pathlib.Path(out, "manifest.json").read_text())["records"]
+        return [r for r in records if r["kind"] == "benchmark"]
+
+    def test_coupling_wider_than_circuit(self, runner, tmp_path):
+        # The idle fourth wire is part of the compiled circuit and of its
+        # permutation, and the dense check of the intrinsic fidelity covers it.
+        cfg = dict(FULL_STACK_CONFIG, transpile={
+            "coupling": {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}})
+        (rec,) = self.benchmark_records(runner, tmp_path, cfg)
+        assert rec["width"] == 4
+        assert sorted(rec["permutation"]) == [0, 1, 2, 3]
+        assert abs(rec["intrinsic_fidelity"] - 1.0) < 1e-9
+
+    def test_coupling_too_wide_for_dense_check_records_budget(self, runner, tmp_path):
+        from mirrorbench.bench import _INTRINSIC_MAX_N
+
+        n = 13
+        assert n > _INTRINSIC_MAX_N
+        cfg = dict(FULL_STACK_CONFIG, transpile={
+            "coupling": {"n": n, "edges": [[i, i + 1] for i in range(n - 1)]},
+            "approximation_degree": 0.85})
+        (rec,) = self.benchmark_records(runner, tmp_path, cfg)
+        assert rec["width"] == n and sorted(rec["permutation"]) == list(range(n))
+        # QFT(3)'s CP(pi/4), identity fidelity 0.89, is its one gate dropped at 0.85
+        budget = abs(3 + cmath.exp(0.25j * cmath.pi)) ** 2 / 16
+        assert rec["intrinsic_fidelity"] == pytest.approx(budget, abs=1e-12)
+
+    def test_qasm_inputs_narrower_than_line(self, runner, tmp_path, monkeypatch):
+        # "line" is as wide as the widest input, so the 2-qubit circuit
+        # compiles onto three wires.
+        monkeypatch.chdir(tmp_path)
+        header = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
+        (tmp_path / "bell.qasm").write_text(header + "qreg q[2];\nh q[0];\ncx q[0],q[1];\n")
+        (tmp_path / "ghz.qasm").write_text(
+            header + "qreg q[3];\nh q[0];\ncx q[0],q[2];\ncx q[1],q[2];\n")
+        cfg = dict(FULL_STACK_CONFIG, inputs={"qasm_paths": ["bell.qasm", "ghz.qasm"]})
+        recs = self.benchmark_records(runner, tmp_path, cfg)
+        assert [(r["source_id"], r["width"]) for r in recs] == [("bell", 3), ("ghz", 3)]
+        for r in recs:
+            assert sorted(r["permutation"]) == [0, 1, 2]
+            assert abs(r["intrinsic_fidelity"] - 1.0) < 1e-9
 
     def test_full_stack_pipeline_with_jobs(self, runner, tmp_path):
         cfg = {

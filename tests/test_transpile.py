@@ -1,8 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from mirrorbench.algos import qaoa_circuit, qft_circuit
 from mirrorbench.circuits import (
     Circuit,
     ContractError,
@@ -14,6 +16,7 @@ from mirrorbench.circuits import (
     permutation_matrix,
 )
 from mirrorbench.sim import unitary_of
+from mirrorbench.storage import circuit_to_json
 from mirrorbench.transpile import (
     TranspileConfig,
     approximate_prune,
@@ -28,6 +31,19 @@ from tests.test_circuits import random_native_circuit
 
 def assert_same_unitary(a: Circuit, b: Circuit, tol=1e-9):
     assert equal_up_to_phase(unitary_of(a), unitary_of(b), tol)
+
+
+def digest(c: Circuit) -> str:
+    """The first 16 hex digits of the SHA-256 of the circuit's JSON line."""
+    return hashlib.sha256(circuit_to_json(c).encode()).hexdigest()[:16]
+
+
+def ring(n: int) -> CouplingGraph:
+    return CouplingGraph(n, frozenset((i, (i + 1) % n) for i in range(n)))
+
+
+def star(n: int) -> CouplingGraph:
+    return CouplingGraph(n, frozenset((0, i) for i in range(1, n)))
 
 
 class TestDecompose:
@@ -134,7 +150,6 @@ class TestPrune:
 
 class TestTranspile:
     def test_qft4_exact_all_to_all(self):
-        from mirrorbench.algos import qft_circuit
         c = qft_circuit(4)
         out = transpile(c, TranspileConfig(CouplingGraph.all_to_all(4), 1.0, 0))
         assert all(op.kind in NATIVE_KINDS for op in out.ops())
@@ -145,7 +160,6 @@ class TestTranspile:
         assert equal_up_to_phase(w.conj().T @ unitary_of(out), unitary_of(c))
 
     def test_line_routed_gates_on_edges(self):
-        from mirrorbench.algos import qft_circuit
         cp = CouplingGraph.line(5)
         out = transpile(qft_circuit(5), TranspileConfig(cp, 1.0, 2))
         for op in out.ops():
@@ -157,7 +171,6 @@ class TestTranspile:
                                  unitary_of(qft_circuit(5)))
 
     def test_approximate_mode_equals_input_with_drops_as_identity(self):
-        from mirrorbench.algos import qft_circuit
         c = qft_circuit(8)
         cfg = TranspileConfig(CouplingGraph.all_to_all(8), 0.999, 0)
         out = transpile(c, cfg)
@@ -175,3 +188,26 @@ class TestTranspile:
         assert len({a, b, c}) == 3
         # Manifests record this digest, so its payload may not change.
         assert a == "0d6abf88a485305f"
+
+
+class TestGoldenOutputs:
+    """Compiled and routed circuits, pinned byte for byte (gates, SWAP choices
+    and metadata), so that a change to the router or the decomposition that
+    moves any seeded output shows."""
+
+    @pytest.mark.parametrize("c, coupling, degree, seed, expected", [
+        (qft_circuit(5), CouplingGraph.line(5), 1.0, 2, "ae679af4827a5438"),
+        (qaoa_circuit(6, 0), ring(6), 1.0, 0, "9b26d83ebcf09d58"),
+        (qft_circuit(5), star(5), 1.0, 1, "a7c55fddb7087bd4"),
+        (qft_circuit(6), ring(6), 0.999, 3, "16774bef8240f8d9"),
+    ], ids=["qft5-line", "qaoa6-ring", "qft5-star", "qft6-ring-approx"])
+    def test_transpile(self, c, coupling, degree, seed, expected):
+        assert digest(transpile(c, TranspileConfig(coupling, degree, seed))) == expected
+
+    @pytest.mark.parametrize("coupling, expected", [
+        (CouplingGraph.line(5), "5739e84288bef7ad"),
+        (ring(5), "43206f5cf6fd55f5"),
+    ])
+    def test_route_random_native(self, coupling, expected):
+        c = random_native_circuit(np.random.default_rng(3), 5, 30)
+        assert digest(route(c, coupling, seed=7)) == expected
