@@ -43,6 +43,9 @@ __all__ = [
 RATIO_FLOOR = 1e-4
 NCF_FLOOR = 1e-6
 F_CLAMP_FLOOR = 1e-6
+# The bootstrap draws this many replicas per call, so that its memory does not
+# grow with B; the default B = 200 is one block.
+_BOOTSTRAP_BLOCK = 256
 
 
 class IllConditionedError(ContractError):
@@ -80,6 +83,17 @@ def effective_polarization(t: ShotTable, target: str) -> float:
     return (a - q) / (1.0 - q)
 
 
+def _fidelity(s1, s2, s3, n: int):
+    """F = gamma + (1 - gamma) / 4^n with gamma = s1 / sqrt(s2 * s3), element by
+    element over arrays of kind means; NaN where s2 * s3 <= RATIO_FLOOR, where
+    the estimate is undefined."""
+    den = s2 * s3
+    defined = den > RATIO_FLOOR
+    gamma = s1 / np.sqrt(np.where(defined, den, 1.0))
+    q = 4.0 ** -n
+    return np.where(defined, gamma + (1.0 - gamma) * q, np.nan)
+
+
 def mcfe_estimate(s1: float, s2: float, s3: float,
                   n: int) -> tuple[float, float, tuple[str, ...]]:
     """(F_hat, F_clamped, flags) from the kind-averaged polarizations.
@@ -88,11 +102,9 @@ def mcfe_estimate(s1: float, s2: float, s3: float,
     s2 * s3 <= RATIO_FLOOR the estimate is undefined: F_hat is NaN and the
     'estimate-undefined' flag is set (F_clamped falls back to 0).
     """
-    if s2 * s3 <= RATIO_FLOOR:
-        return float("nan"), 0.0, ("estimate-undefined",)
-    gamma = s1 / math.sqrt(s2 * s3)
-    q = 4.0 ** -n
-    f = gamma + (1.0 - gamma) * q
+    f = float(_fidelity(s1, s2, s3, n))
+    if math.isnan(f):
+        return f, 0.0, ("estimate-undefined",)
     flags = ()
     clamped = min(1.0, max(0.0, f))
     if clamped != f:
@@ -132,32 +144,33 @@ def bootstrap_sigma(tables: dict[str, list[tuple[ShotTable, str]]], n: int,
     """Non-parametric bootstrap standard deviation of F_hat.
 
     Each replica resamples circuits with replacement within each kind, then
-    resamples every chosen circuit's shots multinomially. Deterministic for a
-    given seed. NaN when fewer than two replicas give a defined estimate.
+    resamples every chosen circuit's shots multinomially. Replicas are drawn
+    ``_BOOTSTRAP_BLOCK`` at a time, one call of each draw per kind and block.
+    Deterministic for a given seed. NaN when fewer than two replicas give a
+    defined estimate.
     """
     rng = derive_seed(seed, "bootstrap")
     # A multinomial over a proxy's Hamming profile is equivalent to one over
-    # its raw shots. Each table computes its profile once, for S and here.
-    prof = {kind: (np.array([t.hamming_profile(tgt) for t, tgt in pairs]),
-                   np.array([t.shots for t, _ in pairs]))
-            for kind, pairs in tables.items()}
-    q = 4.0 ** -n
+    # its raw shots. Each table computes its profile once, for S and here;
+    # the bins no proxy of the kind reaches are left out of the draw.
     weights = (-0.5) ** np.arange(n + 1)
+    prof = {}
+    for kind, pairs in tables.items():
+        h = np.array([t.hamming_profile(tgt) for t, tgt in pairs])
+        reached = h.any(axis=0)
+        prof[kind] = (h[:, reached], np.array([t.shots for t, _ in pairs]), weights[reached])
+    q = 4.0 ** -n
     fs = []
-    for _ in range(B):
+    for start in range(0, B, _BOOTSTRAP_BLOCK):
+        b = min(_BOOTSTRAP_BLOCK, B - start)
         means = {}
-        for kind, (h, shots) in prof.items():
-            idx = rng.integers(0, len(shots), size=len(shots))
-            # One call draws the chosen proxies in order, the same numbers
-            # as one call per proxy.
-            hb = rng.multinomial(shots[idx], h[idx]) / shots[idx, None]
-            # One dot product per row: a matrix-vector product sums in
-            # another order and changes the last bits.
-            a = np.array([row @ weights for row in hb])
-            means[kind] = float(np.mean((a - q) / (1.0 - q)))
-        f, _, flags = mcfe_estimate(means["M1"], means["M2"], means["M3"], n)
-        if "estimate-undefined" not in flags:
-            fs.append(f)
+        for kind, (h, shots, w) in prof.items():
+            idx = rng.integers(0, len(shots), size=(b, len(shots)))
+            a = rng.multinomial(shots[idx], h[idx]) @ w / shots[idx]
+            means[kind] = ((a - q) / (1.0 - q)).mean(axis=1)
+        fs.append(_fidelity(means["M1"], means["M2"], means["M3"], n))
+    fs = np.concatenate(fs)
+    fs = fs[~np.isnan(fs)]
     if len(fs) < 2:
         return float("nan")
     return float(np.std(fs))

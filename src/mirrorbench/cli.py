@@ -155,9 +155,19 @@ def _coupling_from(obj, n: int) -> CouplingGraph:
         return CouplingGraph.line(n)
     if obj == "all_to_all":
         return CouplingGraph.all_to_all(n)
-    if isinstance(obj, dict):
-        return CouplingGraph(obj["n"], frozenset(tuple(e) for e in obj["edges"]))
-    raise ConfigError(f"bad coupling spec {obj!r}")
+    where = "transpile: 'coupling'"
+    if not isinstance(obj, dict):
+        raise ConfigError(f'{where} must be "line", "all_to_all" or an object with '
+                          f"'n' and 'edges', got {json.dumps(obj)}")
+    width = _integer(obj, "n", where)
+    edges = _typed(obj, "edges", where, None, "a list of [a, b] pairs of non-negative integers",
+                   lambda v: isinstance(v, list) and all(
+                       isinstance(e, list) and len(e) == 2
+                       and all(type(q) is int and q >= 0 for q in e) for e in v))
+    try:
+        return CouplingGraph(width, frozenset(tuple(e) for e in edges))
+    except ContractError as e:
+        raise ConfigError(f"{where}: {e}") from None
 
 
 def _hamiltonian_from(spec: dict) -> PauliSumHamiltonian:

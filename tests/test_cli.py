@@ -165,6 +165,16 @@ BAD_VALUES = {
     "hamiltonian-unknown-key": (FILE_TROTTER_CONFIG, "'nn'",
                                 {"n": 3, "nn": 3, "terms": [[1.0, "ZZI"]]}),
 }
+# A coupling object's n and edges were passed on unchecked: each of these
+# exited 2 with a message that named no key, or read true as 1.
+for name, coupling in {"float-n": {"n": 3.0, "edges": [[0, 1], [1, 2]]},
+                       "bool-n": {"n": True, "edges": [[0, 1], [1, 2]]},
+                       "float-edge": {"n": 3, "edges": [[0, 1.0], [1, 2]]},
+                       "string-edges": {"n": 3, "edges": "01"},
+                       "edge-out-of-range": {"n": 3, "edges": [[0, 1], [1, 3]]},
+                       "disconnected": {"n": 3, "edges": [[0, 1]]}}.items():
+    BAD_VALUES[f"coupling-{name}"] = (dict(FULL_STACK_CONFIG, transpile={"coupling": coupling}),
+                                      "transpile: 'coupling'", None)
 
 
 def read_csv(path):
@@ -297,7 +307,8 @@ class TestPipeline:
 
     def test_golden_brickwork_outputs(self, runner, tmp_path):
         # Pins shots.jsonl and results.csv of an n = 8 brickwork suite under
-        # the lowlevel_dense noise, as the dict-based shot tables wrote them.
+        # the lowlevel_dense noise, as the dict-based shot tables wrote them;
+        # sigma_boot as the blocked bootstrap draw gives it.
         cfg = {"benchmark_type": "low_level",
                "inputs": {"family": {"kind": "brickwork", "n": 8, "depth": 12, "seed": 7}},
                "sampling": {"m1": 3, "m2": 3, "m3": 3}, "shots": 1000,
@@ -308,9 +319,18 @@ class TestPipeline:
         run_ok(runner, ["analyze", "--out", out])
         digests = {name: hashlib.sha256(pathlib.Path(out, name).read_bytes()).hexdigest()
                    for name in ("shots.jsonl", "results.csv")}
+        # results.csv without sigma_boot, the one column the bootstrap stream
+        # decides: a change of that stream moves only the full digest.
+        with open(pathlib.Path(out, "results.csv"), newline="") as fp:
+            rows = list(csv.reader(fp))
+        drop = rows[0].index("sigma_boot")
+        digests["results.csv without sigma_boot"] = hashlib.sha256("\n".join(
+            ",".join(r[:drop] + r[drop + 1:]) for r in rows).encode()).hexdigest()
         assert digests == {
             "shots.jsonl": "90c73333390671d6ebb83135d25303224e6c48cfaf3cba51de5b6063a0816298",
-            "results.csv": "267a7b34ada52570874bae10af9f5e3b583b878e9b1b9fe1e6339fcd4a8ad2b0"}
+            "results.csv": "7a406fc3d74568e3e0dad3bed218fe6ff5344c31351a2d97da872c6610736a33",
+            "results.csv without sigma_boot":
+                "0d6ef7069a58eff4213a884be5608c99a5c1c33737834680f60c048135be4a8f"}
 
     def test_report_without_results_exits_3(self, runner, tmp_path):
         out = self._generate(runner, tmp_path)

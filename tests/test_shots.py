@@ -1,6 +1,7 @@
 """Shot tables as arrays: construction, the Hamming profile and the bootstrap
 against the dict-and-string code they replaced, and the shots.jsonl codec."""
 
+import collections
 import io
 import json
 import math
@@ -9,7 +10,13 @@ import pickle
 import numpy as np
 import pytest
 
-from mirrorbench.analysis import bootstrap_sigma, effective_polarization, mcfe_estimate
+from mirrorbench import analysis
+from mirrorbench.analysis import (
+    _BOOTSTRAP_BLOCK,
+    bootstrap_sigma,
+    effective_polarization,
+    mcfe_estimate,
+)
 from mirrorbench.core import ContractError, SchemaError
 from mirrorbench.shots import (
     ShotTable,
@@ -34,8 +41,10 @@ def reference_hamming_profile(t: ShotTable, target: str) -> np.ndarray:
     return h / total
 
 
-def reference_bootstrap_sigma(tables, n, B=200, seed=0) -> float:
-    """The per-proxy multinomial loop that the one-call-per-kind draw replaced."""
+def old_order_bootstrap_sigma(tables, n, B=200, seed=0) -> float:
+    """The per-replica loop that the blocked draw replaced, in its draw order:
+    for each replica and kind, one index draw, then one multinomial per chosen
+    proxy over the full profile. A statistical reference only."""
     rng = derive_seed(seed, "bootstrap")
     prof = {kind: [(reference_hamming_profile(t, tgt), sum(t.counts.values()))
                    for t, tgt in pairs] for kind, pairs in tables.items()}
@@ -55,6 +64,40 @@ def reference_bootstrap_sigma(tables, n, B=200, seed=0) -> float:
         f, _, flags = mcfe_estimate(means["M1"], means["M2"], means["M3"], n)
         if "estimate-undefined" not in flags:
             fs.append(f)
+    return float("nan") if len(fs) < 2 else float(np.std(fs))
+
+
+def reference_bootstrap_sigma(tables, n, B=200, seed=0) -> float:
+    """The blocked draw as a plain loop over replicas and proxies: for each
+    block of replicas and each kind, one index draw for the block, then one
+    multinomial per replica and chosen proxy over the bins the kind reaches."""
+    rng = derive_seed(seed, "bootstrap")
+    q = 4.0 ** -n
+    weights = (-0.5) ** np.arange(n + 1)
+    prof = {}
+    for kind, pairs in tables.items():
+        rows = [(reference_hamming_profile(t, tgt), sum(t.counts.values()))
+                for t, tgt in pairs]
+        reached = [k for k in range(n + 1) if any(h[k] for h, _ in rows)]
+        prof[kind] = [(h[reached], shots) for h, shots in rows], weights[reached]
+    fs = []
+    for start in range(0, B, _BOOTSTRAP_BLOCK):
+        block = min(_BOOTSTRAP_BLOCK, B - start)
+        means = {}
+        for kind, (rows, w) in prof.items():
+            idx = rng.integers(0, len(rows), size=(block, len(rows)))
+            means[kind] = []
+            for replica in idx:
+                ss = []
+                for i in replica:
+                    h, shots = rows[i]
+                    a = float(rng.multinomial(shots, h) @ w) / shots
+                    ss.append((a - q) / (1.0 - q))
+                means[kind].append(float(np.mean(ss)))
+        for m1, m2, m3 in zip(means["M1"], means["M2"], means["M3"]):
+            f, _, flags = mcfe_estimate(m1, m2, m3, n)
+            if "estimate-undefined" not in flags:
+                fs.append(f)
     return float("nan") if len(fs) < 2 else float(np.std(fs))
 
 
@@ -165,21 +208,86 @@ class TestHammingProfile:
                 t.hamming_profile(target)
 
 
+def near_tables(width: int, per_kind: int, seed: int, radius: int | None = None):
+    """Random M1/M2/M3 tables close to the all-zeros target, so that most
+    replicas are defined; with ``radius``, no shot is farther from it."""
+    rng = np.random.default_rng(seed)
+    tables = {}
+    for kind in ("M1", "M2", "M3"):
+        tables[kind] = []
+        for i in range(per_kind):
+            counts = random_counts(rng, width, int(rng.integers(1, 30)), min(0.3, 1.0 / width))
+            if radius is not None:
+                counts = {b: c for b, c in counts.items() if b.count("1") <= radius} or {
+                    "0" * width: 1}
+            tables[kind].append((ShotTable(f"{kind}{i}", counts, width), "0" * width))
+    return tables
+
+
+def sharp_tables(width: int, per_kind: int, seed: int):
+    """Random M1/M2/M3 tables with most shots on the all-zeros target: every
+    polarization is large, so every replica is defined and sigma is small."""
+    rng = np.random.default_rng(seed)
+    return {kind: [(ShotTable(f"{kind}{i}", {**random_counts(rng, width, 4, 0.1),
+                                             "0" * width: int(rng.integers(200, 400))}, width),
+                    "0" * width) for i in range(per_kind)]
+            for kind in ("M1", "M2", "M3")}
+
+
+class CountingGenerator:
+    """A generator that counts the calls of each of its methods."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.calls = collections.Counter()
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return method(*args, **kwargs)
+        return counted
+
+
 class TestBootstrap:
-    @pytest.mark.parametrize("width, per_kind", [(1, 1), (3, 4), (8, 3), (40, 5)])
-    def test_matches_per_proxy_loop_bit_for_bit(self, width, per_kind):
-        rng = np.random.default_rng(width + per_kind)
-        tables = {}
-        for kind in ("M1", "M2", "M3"):
-            tables[kind] = []
-            for i in range(per_kind):
-                # Proxies close to their target, so that most replicas are defined.
-                counts = random_counts(rng, width, int(rng.integers(1, 30)),
-                                       min(0.3, 1.0 / width))
-                tables[kind].append((ShotTable(f"{kind}{i}", counts, width), "0" * width))
-        got = bootstrap_sigma(tables, width, B=40, seed=5)
+    # The last two cases: profiles that end in zero bins, and replicas over
+    # three blocks.
+    @pytest.mark.parametrize("width, per_kind, radius, B", [
+        (1, 1, None, 40), (3, 4, None, 40), (8, 3, None, 40), (40, 5, None, 40),
+        (12, 4, 2, 40), (3, 2, None, 2 * _BOOTSTRAP_BLOCK + 7),
+    ], ids=["1-1", "3-4", "8-3", "40-5", "zero-tail", "three-blocks"])
+    def test_matches_per_proxy_loop_bit_for_bit(self, width, per_kind, radius, B):
+        tables = near_tables(width, per_kind, width + per_kind, radius)
+        if radius is not None:
+            assert not any(t.hamming_profile(tgt)[radius + 1:].any()
+                           for pairs in tables.values() for t, tgt in pairs)
+        got = bootstrap_sigma(tables, width, B=B, seed=5)
         assert math.isfinite(got)
-        assert got == reference_bootstrap_sigma(tables, width, B=40, seed=5)
+        assert got == reference_bootstrap_sigma(tables, width, B=B, seed=5)
+
+    def test_same_spread_as_the_old_draw_order(self):
+        # The two draw orders sample one distribution: over 40 seeds their
+        # mean sigmas agree to within 5%.
+        tables = sharp_tables(8, 5, 45)
+        new = [bootstrap_sigma(tables, 8, B=200, seed=s) for s in range(40)]
+        old = [old_order_bootstrap_sigma(tables, 8, B=200, seed=s) for s in range(40)]
+        assert np.mean(new) == pytest.approx(np.mean(old), rel=0.05)
+
+    @pytest.mark.parametrize("B, blocks", [(2, 1), (200, 1), (_BOOTSTRAP_BLOCK + 1, 2)])
+    def test_one_draw_per_kind_and_block(self, monkeypatch, B, blocks):
+        tables = sharp_tables(3, 3, 11)
+        expected = bootstrap_sigma(tables, 3, B=B, seed=1)
+        assert math.isfinite(expected)
+        rngs = []
+
+        def counting_seed(*args):
+            rngs.append(CountingGenerator(derive_seed(*args)))
+            return rngs[-1]
+        monkeypatch.setattr(analysis, "derive_seed", counting_seed)
+        assert bootstrap_sigma(tables, 3, B=B, seed=1) == expected
+        (rng,) = rngs
+        assert rng.calls == {"integers": 3 * blocks, "multinomial": 3 * blocks}
 
     def test_polarization_uses_the_table_profile(self):
         t = ShotTable("t", {"0": 75, "1": 25}, 1)
