@@ -24,7 +24,7 @@ from mirrorbench.circuits import (
     PAULI_MATS,
     layerize,
 )
-from mirrorbench.core import full_process_fidelity, is_number
+from mirrorbench.core import JsonObject, full_process_fidelity, is_number
 from mirrorbench.sim import derive_seed, process_fidelity_unitaries, unitary_of
 
 __all__ = [
@@ -85,26 +85,19 @@ class PauliSumHamiltonian:
                 "offset": self.offset}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "PauliSumHamiltonian":
-        """The Hamiltonian of a ``to_dict`` object. An unknown key, or a value
-        not of its JSON type (``n`` a positive integer, ``terms`` a list of
-        ``[number, string]`` pairs, ``offset`` a number; bool is no number),
-        raises ``ContractError``."""
-        if not isinstance(d, dict):
-            raise ContractError("a Hamiltonian must be a JSON object")
-        unknown = sorted(d.keys() - {"n", "terms", "offset"})
-        if unknown:
-            raise ContractError(f"unknown Hamiltonian key {unknown[0]!r}")
-        n, terms, offset = d.get("n"), d.get("terms"), d.get("offset", 0.0)
-        if type(n) is not int or n < 1:
-            raise ContractError(f"Hamiltonian 'n' must be a positive integer, got {n!r}")
-        if not isinstance(terms, list) or not all(
-                isinstance(t, list) and len(t) == 2 and is_number(t[0])
-                and isinstance(t[1], str) for t in terms):
-            raise ContractError("Hamiltonian 'terms' must be a list of [number, string] pairs")
-        if not is_number(offset):
-            raise ContractError(f"Hamiltonian 'offset' must be a number, got {offset!r}")
-        return cls(n, tuple((float(c), p) for c, p in terms), float(offset))
+    def from_dict(cls, d, path: str = "hamiltonian") -> "PauliSumHamiltonian":
+        """The Hamiltonian of a ``to_dict`` object. A key it does not take, or
+        a value not of its JSON type (``n`` a positive integer, ``terms`` a
+        list of ``[number, string]`` pairs, ``offset`` a number), raises
+        SchemaError."""
+        h = JsonObject(d, path)
+        n = h.count("n")
+        terms = h.get("terms", what="a list of [number, string] pairs", fits=lambda v: (
+            isinstance(v, list) and all(isinstance(t, list) and len(t) == 2 and is_number(t[0])
+                                        and isinstance(t[1], str) for t in v)))
+        offset = h.number("offset", 0.0)
+        h.done()
+        return cls(n, tuple((float(c), p) for c, p in terms), offset)
 
 
 @dataclass(frozen=True)

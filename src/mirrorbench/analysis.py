@@ -71,16 +71,20 @@ class EffectiveErrorRate:
 def effective_polarization(t: ShotTable, target: str) -> float:
     """S = (4^n sum_k (-1/2)^k h_k - 1) / (4^n - 1), overflow-safe for any n."""
     if not len(t.tally):
-        raise ContractError("empty shot table")
+        raise ContractError(f"{t.circuit_id}: empty shot table")
     n = len(target)
     if t.width != n:
-        raise ContractError(f"target length {n} != shot width {t.width}")
-    h = t.hamming_profile(target)
-    a = float(h @ (-0.5) ** np.arange(n + 1))
-    # S = (4^n a - 1)/(4^n - 1) computed as (a - 4^-n)/(1 - 4^-n); the
-    # 4.0**-n factor underflows to 0 for huge n instead of overflowing.
+        raise ContractError(f"{t.circuit_id}: target length {n} != shot width {t.width}")
+    weights, polarization = _polarization_map(n)
+    return polarization(float(t.hamming_profile(target) @ weights))
+
+
+def _polarization_map(n: int):
+    """The weights (-1/2)^k of Hamming bins k = 0..n, and the map, elementwise,
+    from a = sum_k (-1/2)^k h_k to S = (4^n a - 1)/(4^n - 1) = (a - 4^-n)/(1 - 4^-n):
+    4.0**-n underflows to 0 for huge n instead of overflowing."""
     q = 4.0 ** -n
-    return (a - q) / (1.0 - q)
+    return (-0.5) ** np.arange(n + 1), lambda a: (a - q) / (1.0 - q)
 
 
 def _fidelity(s1, s2, s3, n: int):
@@ -112,14 +116,6 @@ def mcfe_estimate(s1: float, s2: float, s3: float,
     return f, clamped, flags
 
 
-def _kind_means(pols: dict[str, list[float]]) -> tuple[float, float, float]:
-    for kind in ("M1", "M2", "M3"):
-        if not pols.get(kind):
-            raise ContractError(f"no polarizations for kind {kind}")
-    return (float(np.mean(pols["M1"])), float(np.mean(pols["M2"])),
-            float(np.mean(pols["M3"])))
-
-
 def estimate_benchmark(benchmark_id: str, n: int, depth: int,
                        tables: dict[str, list[tuple[ShotTable, str]]],
                        *, bootstrap: int = 200, seed: int = 0,
@@ -130,7 +126,10 @@ def estimate_benchmark(benchmark_id: str, n: int, depth: int,
     """
     pols = {k: [effective_polarization(t, tgt) for t, tgt in v]
             for k, v in tables.items()}
-    s1, s2, s3 = _kind_means(pols)
+    for kind in ("M1", "M2", "M3"):
+        if not pols.get(kind):
+            raise ContractError(f"{benchmark_id}: no polarizations for kind {kind}")
+    s1, s2, s3 = (float(np.mean(pols[kind])) for kind in ("M1", "M2", "M3"))
     f, fc, flags = mcfe_estimate(s1, s2, s3, n)
     sigma = bootstrap_sigma(tables, n, B=bootstrap, seed=seed)
     if math.isnan(sigma):
@@ -153,13 +152,12 @@ def bootstrap_sigma(tables: dict[str, list[tuple[ShotTable, str]]], n: int,
     # A multinomial over a proxy's Hamming profile is equivalent to one over
     # its raw shots. Each table computes its profile once, for S and here;
     # the bins no proxy of the kind reaches are left out of the draw.
-    weights = (-0.5) ** np.arange(n + 1)
+    weights, polarization = _polarization_map(n)
     prof = {}
     for kind, pairs in tables.items():
         h = np.array([t.hamming_profile(tgt) for t, tgt in pairs])
         reached = h.any(axis=0)
         prof[kind] = (h[:, reached], np.array([t.shots for t, _ in pairs]), weights[reached])
-    q = 4.0 ** -n
     fs = []
     for start in range(0, B, _BOOTSTRAP_BLOCK):
         b = min(_BOOTSTRAP_BLOCK, B - start)
@@ -167,7 +165,7 @@ def bootstrap_sigma(tables: dict[str, list[tuple[ShotTable, str]]], n: int,
         for kind, (h, shots, w) in prof.items():
             idx = rng.integers(0, len(shots), size=(b, len(shots)))
             a = rng.multinomial(shots[idx], h[idx]) @ w / shots[idx]
-            means[kind] = ((a - q) / (1.0 - q)).mean(axis=1)
+            means[kind] = polarization(a).mean(axis=1)
         fs.append(_fidelity(means["M1"], means["M2"], means["M3"], n))
     fs = np.concatenate(fs)
     fs = fs[~np.isnan(fs)]

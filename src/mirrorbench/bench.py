@@ -3,20 +3,27 @@
 A suite pairs benchmarking circuits B (the inputs themselves, compiled
 versions of them, or subcircuits snipped out of them) with the mirror proxy
 circuits produced for each, and a manifest tying everything together.
+``suite_from_config`` builds the suite a ``config.json`` describes.
 """
 
 from __future__ import annotations
 
+import json
+import os
 from dataclasses import dataclass, replace
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from mirrorbench.circuits import Circuit, ContractError, permutation_matrix
+from mirrorbench.circuits import Circuit, ContractError, CouplingGraph, permutation_matrix
+from mirrorbench.core import ConfigError, JsonObject, decoding
 from mirrorbench.manifest import Manifest
 from mirrorbench.mirror import MirrorCircuit, SamplingParams, build_suite, check_native
 from mirrorbench.sim import derive_seed, process_fidelity_unitaries, unitary_of
-from mirrorbench.transpile import TranspileConfig, transpile
+from mirrorbench.transpile import TranspileConfig, decompose_to_basis, transpile
+
+if TYPE_CHECKING:
+    from mirrorbench.algos import PauliSumHamiltonian
 
 __all__ = [
     "ShapeSpec",
@@ -25,6 +32,7 @@ __all__ = [
     "build_full_stack",
     "snip",
     "build_subcircuit",
+    "suite_from_config",
 ]
 
 # Widest coupling whose compilations are checked against the input's dense
@@ -227,3 +235,117 @@ def build_subcircuit(circuits: list[Circuit], shapes: ShapeSpec,
                     dropped_2q=s.meta["snip"]["dropped_2q"])
                 benchmarks.append((s, rec))
     return _suite("subcircuit", benchmarks, params, shots)
+
+
+# --- the suite a config describes -------------------------------------------------
+
+
+def _coupling_from(tc: JsonObject, n: int) -> CouplingGraph:
+    spec = tc.get("coupling", "all_to_all", '"line", "all_to_all" or an object',
+                  lambda v: v in ("line", "all_to_all") or isinstance(v, dict))
+    if isinstance(spec, str):
+        return (CouplingGraph.line if spec == "line" else CouplingGraph.all_to_all)(n)
+    coupling = tc.object("coupling")
+    width, edges = coupling.count("n"), coupling.pairs("edges", "a, b", least=0)
+    coupling.done()
+    try:
+        return CouplingGraph(width, frozenset(tuple(e) for e in edges))
+    except ContractError as e:
+        raise ConfigError(f"{coupling.path}: {e}") from None
+
+
+def _hamiltonian_from(spec: JsonObject) -> PauliSumHamiltonian:
+    from mirrorbench import algos
+
+    kind = spec.one_of("type", ("tfim", "heisenberg", "max3sat", "file"))
+    if kind == "file":
+        path = spec.string("path")
+        spec.done()
+        with decoding(path), open(path, encoding="utf-8") as fp:
+            return algos.PauliSumHamiltonian.from_dict(json.load(fp), path)
+    n = spec.count("n")
+    if kind == "max3sat":
+        h = algos.max3sat(n, spec.count("r", 2), spec.count("seed", 0, least=0))
+    else:
+        h = algos.tfim(n) if kind == "tfim" else algos.heisenberg(n)
+    spec.done()
+    return h
+
+
+def _input_circuits(inputs: JsonObject, benchmark_type: str) -> list[Circuit]:
+    """Input circuits: a built-in family spec or QASM files."""
+    if "qasm_paths" in inputs.data:
+        from mirrorbench.qasm import parse_qasm
+
+        paths = inputs.get("qasm_paths", what="a non-empty list of strings", fits=lambda v: (
+            isinstance(v, list) and v and all(isinstance(p, str) for p in v)))
+        inputs.done()
+        out: list[Circuit] = []
+        for path in paths:
+            with decoding(path), open(path, encoding="utf-8") as fp:
+                c = parse_qasm(fp.read())
+            out.append(c.with_id(os.path.splitext(os.path.basename(path))[0]))
+        return out
+    from mirrorbench import algos
+
+    family = inputs.object("family")
+    inputs.done()
+    kind = family.one_of("kind", ("brickwork", "qft", "qaoa", "trotter"))
+    if kind != "trotter":
+        n = family.count("n")
+        if kind == "brickwork":
+            c = algos.brickwork_u3_cz(n, family.count("depth"), family.count("seed", 0, least=0))
+        elif kind == "qft":
+            c = algos.qft_circuit(n)
+        else:
+            c = algos.qaoa_circuit(n, family.count("seed", 0, least=0), family.count("reps", 1))
+        family.done()
+        return [c]
+    h = _hamiltonian_from(family.object("hamiltonian"))
+    orders = family.count("orders", [family.count("order", 1)], many=True)
+    steps = family.count("steps_list", [family.count("steps", 1)], many=True)
+    t = family.number("time", 1.0)
+    family.done()
+    specs = [algos.TrotterSpec(order, m, t) for order in orders for m in steps]
+    circuits = [algos.trotter_circuit(h, spec) for spec in specs]
+    if h.n <= algos.EVOLUTION_MAX_N and benchmark_type != "subcircuit":
+        # A fixed property of the circuit, recorded once for report (a
+        # snip of the circuit is another circuit, and records none); the
+        # family shares one exp(-iHt), so H is diagonalized once.
+        from mirrorbench.sim import process_fidelity_unitaries, unitary_of
+
+        u = algos.exact_evolution_unitary(h, t)
+        for c in circuits:
+            c.meta["trotter"]["F_alg"] = process_fidelity_unitaries(u, unitary_of(c))
+    return circuits
+
+
+def suite_from_config(cfg: JsonObject) -> BenchmarkSuite:
+    """The suite a config describes, every section read with ``core.JsonObject``
+    (``benchmark_type``, ``seed`` and ``noise`` checked already), so that a bad
+    value names its key."""
+    bt, seed = cfg.data["benchmark_type"], cfg.data["seed"]
+    shots = cfg.count("shots", 1000)
+    circuits = _input_circuits(cfg.object("inputs"), bt)
+    sampling = cfg.object("sampling", {})
+    params = SamplingParams(*(sampling.count(m, 10) for m in ("m1", "m2", "m3")), seed)
+    sampling.done()
+    if cfg.get("compile_to_native", False, "true or false", bool) and bt != "full_stack":
+        circuits = [decompose_to_basis(c) for c in circuits]
+    if bt == "full_stack":
+        tc = cfg.object("transpile", {})
+        coupling = _coupling_from(tc, max(c.n for c in circuits))
+        tcfg = TranspileConfig(coupling, tc.number("approximation_degree", 1.0), seed)
+        reps = tc.count("reps", 1)
+        tc.done()
+    elif bt == "subcircuit":
+        sc = cfg.object("shapes")
+        shapes = ShapeSpec(tuple(map(tuple, sc.pairs("shapes", "width, depth", least=1))),
+                           sc.count("samples_per_shape", 30))
+        sc.done()
+    cfg.done()
+    if bt == "low_level":
+        return build_low_level(circuits, params, shots)
+    if bt == "full_stack":
+        return build_full_stack(circuits, tcfg, reps, params, shots)
+    return build_subcircuit(circuits, shapes, params, shots)

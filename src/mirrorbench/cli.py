@@ -37,35 +37,29 @@ import click
 # call them: ``--help`` and ``report`` never load numpy, and no stage
 # compiles a module it does not run.
 from mirrorbench.core import (
+    BENCHMARK_TYPES,
     CapacityError,
+    ConfigError,
     ContractError,
     ORACLE_MAX_N,
     FidelityRecord,
+    JsonObject,
     NoiseModel,
-    QasmError,
     SchemaError,
+    decoding,
     full_process_fidelity,
-    is_number,
     open_atomic,
     render_volumetric_svg,
     volumetric_summary,
 )
 
 if TYPE_CHECKING:
-    from mirrorbench.algos import PauliSumHamiltonian
-    from mirrorbench.bench import BenchmarkSuite
-    from mirrorbench.circuits import Circuit, CouplingGraph
     from mirrorbench.manifest import Manifest
-    from mirrorbench.mirror import SamplingParams
     from mirrorbench.shots import ShotTable
 
 EXIT_PARTIAL = 1
 EXIT_CONFIG = 2
 EXIT_MISSING = 3
-
-
-class ConfigError(Exception):
-    """A configuration value, or an input file it names, is unusable."""
 
 
 class MissingDataError(Exception):
@@ -92,164 +86,26 @@ def _some(ids: list[str]) -> str:
 
 
 @contextlib.contextmanager
-def _decoding(path: str):
-    """Bytes in ``path`` that are not UTF-8, or QASM that does not parse, end
-    the stage with a ConfigError naming the file."""
-    try:
-        yield
-    except UnicodeDecodeError as e:
-        raise ConfigError(f"{path}: not UTF-8 text ({e.reason})") from None
-    except QasmError as e:
-        raise ConfigError(f"{path}: {e}") from None
-
-
-@contextlib.contextmanager
 def _open_input(out_dir: str, name: str, **kwargs):
     """An experiment file (see ``_input``), open as UTF-8 text."""
     path = _input(out_dir, name)
-    with _decoding(path), open(path, encoding="utf-8", **kwargs) as fp:
+    with decoding(path), open(path, encoding="utf-8", **kwargs) as fp:
         yield fp
 
 
 # --- configuration ------------------------------------------------------------------
 
 
-def _require(cfg: dict, key: str, where: str = "config"):
-    if key not in cfg:
-        raise ConfigError(f"{where}: missing required key {key!r}")
-    return cfg[key]
-
-
-def _checked(value, name: str, least: int = 1, many: bool = False):
-    """``value``, a JSON integer of at least ``least`` (1 for a count, 0 for a
-    seed), or with ``many`` a list of them: ``int()`` would truncate 1.7 and
-    read ``true`` and ``"2"``, and bool is an int."""
-    values = value if many and isinstance(value, list) else [value]
-    if many != isinstance(value, list) or any(type(v) is not int or v < least for v in values):
-        what = f"{'positive' if least else 'non-negative'} integer"
-        raise ConfigError(f"{name} must be {f'a list of {what}s' if many else f'a {what}'}, "
-                          f"got {json.dumps(value)}")
-    return value
-
-
-def _integer(cfg: dict, key: str, where: str, default=None, least: int = 1,
-             many: bool = False):
-    """``cfg[key]``, or ``default`` if absent (required without one), checked."""
-    value = _require(cfg, key, where) if default is None else cfg.get(key, default)
-    return _checked(value, f"{where}: {key!r}", least, many)
-
-
-def _typed(cfg: dict, key: str, where: str, default, what: str, fits):
-    """``cfg[key]``, or ``default`` if absent, when ``fits`` holds for it: a
-    value is read as the JSON type it must be, never converted."""
-    value = cfg.get(key, default)
-    if not fits(value):
-        raise ConfigError(f"{where}: {key!r} must be {what}, got {json.dumps(value)}")
-    return value
-
-
-def _coupling_from(obj, n: int) -> CouplingGraph:
-    from mirrorbench.circuits import CouplingGraph
-
-    if obj == "line":
-        return CouplingGraph.line(n)
-    if obj == "all_to_all":
-        return CouplingGraph.all_to_all(n)
-    where = "transpile: 'coupling'"
-    if not isinstance(obj, dict):
-        raise ConfigError(f'{where} must be "line", "all_to_all" or an object with '
-                          f"'n' and 'edges', got {json.dumps(obj)}")
-    width = _integer(obj, "n", where)
-    edges = _typed(obj, "edges", where, None, "a list of [a, b] pairs of non-negative integers",
-                   lambda v: isinstance(v, list) and all(
-                       isinstance(e, list) and len(e) == 2
-                       and all(type(q) is int and q >= 0 for q in e) for e in v))
-    try:
-        return CouplingGraph(width, frozenset(tuple(e) for e in edges))
-    except ContractError as e:
-        raise ConfigError(f"{where}: {e}") from None
-
-
-def _hamiltonian_from(spec: dict) -> PauliSumHamiltonian:
-    from mirrorbench import algos
-
-    kind = _require(spec, "type", "hamiltonian")
-    if kind == "tfim":
-        return algos.tfim(_integer(spec, "n", "hamiltonian"))
-    if kind == "heisenberg":
-        return algos.heisenberg(_integer(spec, "n", "hamiltonian"))
-    if kind == "max3sat":
-        return algos.max3sat(_integer(spec, "n", "hamiltonian"),
-                             _integer(spec, "r", "hamiltonian", 2),
-                             _integer(spec, "seed", "hamiltonian", 0, least=0))
-    if kind == "file":
-        path = _require(spec, "path", "hamiltonian")
-        with _decoding(path), open(path, encoding="utf-8") as fp:
-            return algos.PauliSumHamiltonian.from_dict(json.load(fp))
-    raise ConfigError(f"unknown hamiltonian type {kind!r}")
-
-
-def _input_circuits(cfg: dict) -> list[Circuit]:
-    """Input circuits: a built-in family spec or QASM files."""
-    inputs = _require(cfg, "inputs")
-    out: list[Circuit] = []
-    if "qasm_paths" in inputs:
-        from mirrorbench.qasm import parse_qasm
-
-        for path in _typed(inputs, "qasm_paths", "inputs", None, "a list of strings",
-                           lambda v: isinstance(v, list) and all(isinstance(p, str) for p in v)):
-            with _decoding(path), open(path, encoding="utf-8") as fp:
-                c = parse_qasm(fp.read())
-            out.append(c.with_id(os.path.splitext(os.path.basename(path))[0]))
-        return out
-    from mirrorbench import algos
-
-    family = _require(inputs, "family", "inputs")
-    kind = _require(family, "kind", "inputs.family")
-    if kind == "brickwork":
-        return [algos.brickwork_u3_cz(_integer(family, "n", "family"),
-                                      _integer(family, "depth", "family"),
-                                      _integer(family, "seed", "family", 0, least=0))]
-    if kind == "qft":
-        return [algos.qft_circuit(_integer(family, "n", "family"))]
-    if kind == "qaoa":
-        return [algos.qaoa_circuit(_integer(family, "n", "family"),
-                                   _integer(family, "seed", "family", 0, least=0),
-                                   _integer(family, "reps", "family", 1))]
-    if kind == "trotter":
-        h = _hamiltonian_from(_require(family, "hamiltonian", "family"))
-        orders = _integer(family, "orders", "family", [_integer(family, "order", "family", 1)],
-                          many=True)
-        steps = _integer(family, "steps_list", "family",
-                         [_integer(family, "steps", "family", 1)], many=True)
-        t = float(_typed(family, "time", "family", 1.0, "a number", is_number))
-        specs = [algos.TrotterSpec(order, m, t) for order in orders for m in steps]
-        circuits = [algos.trotter_circuit(h, spec) for spec in specs]
-        if h.n <= algos.EVOLUTION_MAX_N and cfg["benchmark_type"] != "subcircuit":
-            # A fixed property of the circuit, recorded once for report (a
-            # snip of the circuit is another circuit, and records none); the
-            # family shares one exp(-iHt), so H is diagonalized once.
-            from mirrorbench.sim import process_fidelity_unitaries, unitary_of
-
-            u = algos.exact_evolution_unitary(h, t)
-            for c in circuits:
-                c.meta["trotter"]["F_alg"] = process_fidelity_unitaries(u, unitary_of(c))
-        return circuits
-    raise ConfigError(f"unknown circuit family {kind!r}")
-
-
-def _load_config(path: str) -> dict:
+def _load_config(path: str) -> JsonObject:
+    """The config at ``path``, with the keys every stage reads checked."""
     try:
         with open(path, encoding="utf-8") as fp:
-            cfg = json.load(fp)
+            data = json.load(fp)
     except (OSError, ValueError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from None
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    bt = _require(cfg, "benchmark_type")
-    if bt not in ("low_level", "full_stack", "subcircuit"):
-        raise ConfigError(f"bad benchmark_type {bt!r}")
-    _integer(cfg, "seed", "config", least=0)  # mandatory, for reproducibility
+    cfg = JsonObject(data, "config")
+    cfg.one_of("benchmark_type", BENCHMARK_TYPES)
+    cfg.count("seed", least=0)  # mandatory, for reproducibility
     _noise(cfg)  # simulate and oracle read it; generate rejects it before writing
     return cfg
 
@@ -258,73 +114,20 @@ def _manifest(out_dir: str) -> Manifest:
     from mirrorbench.manifest import read_manifest
 
     path = _input(out_dir, "manifest.json")
-    with _decoding(path):
+    with decoding(path):
         return read_manifest(path)
 
 
-def _experiment(out_dir: str) -> tuple[dict, Manifest]:
+def _experiment(out_dir: str) -> tuple[JsonObject, Manifest]:
     """The config and manifest that ``generate`` left in an experiment directory."""
     return _load_config(_input(out_dir, "config.json")), _manifest(out_dir)
 
 
-def _sampling_from(cfg: dict) -> SamplingParams:
-    from mirrorbench.mirror import SamplingParams
-
-    s = cfg.get("sampling", {})
-    return SamplingParams(*(_integer(s, m, "sampling", 10) for m in ("m1", "m2", "m3")),
-                          cfg["seed"])
-
-
-def _noise(cfg: dict) -> NoiseModel:
+def _noise(cfg: JsonObject) -> NoiseModel:
     try:
-        return NoiseModel.from_dict(cfg.get("noise", {}))
+        return NoiseModel.from_dict(cfg.get("noise", {}), f"{cfg.path}.noise")
     except ContractError as e:
-        raise ConfigError(f"bad noise ({e})") from None
-
-
-def _build(cfg: dict) -> BenchmarkSuite:
-    """The suite a config describes; every bad value in it, or an input file it
-    names that cannot be read, is a ConfigError."""
-    from mirrorbench.bench import (
-        ShapeSpec,
-        build_full_stack,
-        build_low_level,
-        build_subcircuit,
-    )
-    from mirrorbench.transpile import TranspileConfig
-
-    shots = _integer(cfg, "shots", "config", 1000)
-    try:
-        circuits = _input_circuits(cfg)
-        params = _sampling_from(cfg)
-        bt = cfg["benchmark_type"]
-        if _typed(cfg, "compile_to_native", "config", False, "true or false",
-                  lambda v: isinstance(v, bool)) and bt != "full_stack":
-            from mirrorbench.transpile import decompose_to_basis
-            circuits = [decompose_to_basis(c) for c in circuits]
-        if bt == "low_level":
-            return build_low_level(circuits, params, shots)
-        if bt == "full_stack":
-            tc = cfg.get("transpile", {})
-            coupling = _coupling_from(tc.get("coupling", "all_to_all"),
-                                      max(c.n for c in circuits))
-            tcfg = TranspileConfig(coupling,
-                                   float(_typed(tc, "approximation_degree", "transpile",
-                                                1.0, "a number", is_number)),
-                                   cfg["seed"])
-            return build_full_stack(circuits, tcfg, _integer(tc, "reps", "transpile", 1),
-                                    params, shots)
-        shapes_cfg = _require(cfg, "shapes")
-        shapes = ShapeSpec(tuple(tuple(_checked(p, "shapes: 'shapes' entry", many=True))
-                                 for p in _require(shapes_cfg, "shapes", "shapes")),
-                           _integer(shapes_cfg, "samples_per_shape", "shapes", 30))
-        return build_subcircuit(circuits, shapes, params, shots)
-    except KeyError as e:
-        raise ConfigError(f"missing key {e}") from None
-    except (AttributeError, TypeError, ValueError) as e:
-        raise ConfigError(f"bad value ({e})") from None
-    except OSError as e:
-        raise ConfigError(f"cannot read input file: {e}") from None
+        raise ConfigError(f"{cfg.path}.noise: {e}") from None
 
 
 # --- commands ------------------------------------------------------------------------
@@ -356,11 +159,15 @@ def main():
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def generate(config_path: str, out_dir: str):
     """Create a benchmark suite: manifest.json + circuits.jsonl."""
+    from mirrorbench.bench import suite_from_config
     from mirrorbench.storage import write_circuits, write_manifest
 
     t0 = time.monotonic()
     cfg = _load_config(config_path)
-    suite = _build(cfg)
+    try:
+        suite = suite_from_config(cfg)
+    except OSError as e:  # an input file the config names
+        raise ConfigError(f"cannot read input file: {e}") from None
     os.makedirs(out_dir, exist_ok=True)
     for name in _DERIVED:
         with contextlib.suppress(FileNotFoundError):
@@ -369,7 +176,7 @@ def generate(config_path: str, out_dir: str):
         count = write_circuits(fp, suite.circuits)
     write_manifest(os.path.join(out_dir, "manifest.json"), suite.manifest)
     with open_atomic(os.path.join(out_dir, "config.json")) as fp:
-        json.dump(cfg, fp, indent=1)
+        json.dump(cfg.data, fp, indent=1)
         fp.write("\n")
     proxies = sum(1 for r in suite.manifest.records if r["kind"] in ("M1", "M2", "M3"))
     click.echo(f"generated {count} circuits ({proxies} proxies) "
@@ -410,7 +217,7 @@ def simulate(out_dir, fake_uniform, jobs):
     cfg, manifest = _experiment(out_dir)
     nm = _noise(cfg)
     shots = manifest.sampling["shots"]
-    master = cfg["seed"]
+    master = cfg.data["seed"]
     mirrors = manifest.mirror_records()
 
     if fake_uniform:
@@ -479,7 +286,7 @@ def _analyze_records(out_dir: str, bootstrap: int = 200) -> list[FidelityRecord]
     for b in benchmarks:
         shape = tuple(b["shape"]) if "shape" in b else None
         rec = estimate_benchmark(b["id"], b["width"], b["depth"], by_parent[b["id"]],
-                                 bootstrap=bootstrap, seed=cfg["seed"],
+                                 bootstrap=bootstrap, seed=cfg.data["seed"],
                                  shape=shape)
         records.append(rec)
     return records

@@ -1,10 +1,11 @@
 """The stdlib-only part of mirrorbench: what every stage process needs before
 it does any numerical work.
 
-It holds the errors that the CLI turns into exit codes, the noise model that
-every stage validates from ``config.json``, the oracle's width limit, atomic
-file writes, and the fidelity records, volumetric renderers and Trotter
-fidelity product of ``report``. Nothing here imports numpy, so
+It holds the errors that the CLI turns into exit codes, the reader of the JSON
+objects users write, the noise model that every stage validates from
+``config.json``, the oracle's width limit, atomic file writes, and the
+fidelity records, volumetric renderers and Trotter fidelity product of
+``report``. Nothing here imports numpy, so
 ``mirrorbench --help`` and ``mirrorbench report`` start without it. The
 modules these names belong to re-export them (``sim.NoiseModel``,
 ``analysis.volumetric_summary``, ...), so either name gives the same object.
@@ -15,16 +16,21 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import IO, Iterator
 
 __all__ = [
     "CapacityError",
+    "ConfigError",
     "ContractError",
     "SchemaError",
     "QasmError",
+    "decoding",
+    "JsonObject",
+    "BENCHMARK_TYPES",
     "NoiseModel",
     "ORACLE_MAX_N",
     "open_atomic",
@@ -71,9 +77,105 @@ class QasmError(Exception):
         self.col = col
 
 
+class ConfigError(Exception):
+    """A configuration value, or an input file it names, is unusable."""
+
+
+@contextlib.contextmanager
+def decoding(path: str) -> Iterator[None]:
+    """Bytes in ``path`` that are not UTF-8, or JSON or QASM that does not
+    parse, end the stage with a ConfigError naming the file."""
+    try:
+        yield
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text ({e.reason})") from None
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"{path}: invalid JSON ({e})") from None
+    except QasmError as e:
+        raise ConfigError(f"{path}: {e}") from None
+
+
 def is_number(v) -> bool:
     """Whether ``v`` is a JSON number as ``json`` reads it; bool is none."""
     return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# --- JSON objects from outside the program -------------------------------------------
+
+BENCHMARK_TYPES = ("low_level", "full_stack", "subcircuit")
+
+
+def _at_least(least: int):
+    """A test for JSON integers of at least ``least`` (bool is none), and their name."""
+    return (lambda v: type(v) is int and v >= least,
+            f"{'positive' if least else 'non-negative'} integer")
+
+
+class JsonObject:
+    """One JSON object from outside the program, read key by key.
+
+    Each read takes a key as the JSON type it must be, never converted, and
+    returns its value, or ``default`` when the key is absent (without one,
+    ``...``, the key is required). ``done`` then rejects the first key no read
+    took, so that a misspelt key stops the run instead of being left out. Each
+    failure is a SchemaError naming ``path``, the object's place in its file,
+    and the key.
+    """
+
+    def __init__(self, data, path: str):
+        if not isinstance(data, dict):
+            raise SchemaError(f"must be a JSON object, got {json.dumps(data)}", path)
+        self.data, self.path, self._read = data, path, set()
+
+    def get(self, key: str, default=..., what: str = "", fits=object):
+        """``data[key]``, which must be ``what``: of the type ``fits``, or a
+        value for which the test ``fits`` holds."""
+        self._read.add(key)
+        if key not in self.data:
+            if default is ...:
+                raise SchemaError(f"missing required key {key!r}", self.path)
+            return default
+        value = self.data[key]
+        if not (isinstance(value, fits) if isinstance(fits, type) else fits(value)):
+            raise SchemaError(f"{key!r} must be {what}, got {json.dumps(value)}", self.path)
+        return value
+
+    def count(self, key: str, default=..., least: int = 1, many: bool = False):
+        """An integer of at least ``least`` (1 for a count, 0 for a seed), or
+        with ``many`` a non-empty list of them."""
+        fits, what = _at_least(least)
+        if many:
+            return self.get(key, default, f"a non-empty list of {what}s",
+                            lambda v: isinstance(v, list) and v and all(map(fits, v)))
+        return self.get(key, default, f"a {what}", fits)
+
+    def pairs(self, key: str, names: str, least: int) -> list[list[int]]:
+        """A list of ``[a, b]`` pairs (``names``) of integers of at least ``least``."""
+        fits, what = _at_least(least)
+        return self.get(key, ..., f"a list of [{names}] pairs of {what}s", lambda v: (
+            isinstance(v, list) and all(isinstance(p, list) and len(p) == 2
+                                        and all(map(fits, p)) for p in v)))
+
+    def number(self, key: str, default=...) -> float:
+        # float() of a JSON integer past the float range would overflow.
+        return float(self.get(key, default, "a finite number",
+                              lambda v: is_number(v) and abs(v) <= 1e308))
+
+    def string(self, key: str, default=...) -> str:
+        return self.get(key, default, "a string", str)
+
+    def one_of(self, key: str, choices: tuple[str, ...]) -> str:
+        return self.get(key, ..., "one of " + ", ".join(map(json.dumps, choices)),
+                        choices.__contains__)
+
+    def object(self, key: str, default=...) -> "JsonObject":
+        """The object at ``key``, read in turn under the path ``path.key``."""
+        return JsonObject(self.get(key, default, "a JSON object", dict), f"{self.path}.{key}")
+
+    def done(self):
+        for key in self.data:
+            if key not in self._read:
+                raise SchemaError(f"unexpected key {key!r}", self.path)
 
 
 # --- noise model ---------------------------------------------------------------------
@@ -107,20 +209,16 @@ class NoiseModel:
         return cls()
 
     @classmethod
-    def from_dict(cls, d: dict) -> "NoiseModel":
-        """The model of a config's ``noise`` object. An unknown key, whose noise
-        would be left out, or a value that is not a JSON number (bool is none)
-        raises ``ContractError``."""
-        over = d.get("theta_over", {}) if isinstance(d, dict) else None
-        if not isinstance(over, dict):
-            raise ContractError("noise and its theta_over must be JSON objects")
-        unknown = sorted(d.keys() - {f.name for f in fields(cls)})
-        if unknown:
-            raise ContractError(f"unknown key {unknown[0]!r}")
-        for name, v in [*d.items(), *((f"theta_over[{k!r}]", v) for k, v in over.items())]:
-            if name != "theta_over" and not is_number(v):
-                raise ContractError(f"{name} must be a number, got {v!r}")
-        return cls(**dict(d, theta_over=dict(over)))
+    def from_dict(cls, d, path: str = "noise") -> "NoiseModel":
+        """The model of a config's ``noise`` object; a key it does not take, whose
+        noise would be left out, or a value that is no finite number raises SchemaError."""
+        noise = JsonObject(d, path)
+        over = noise.object("theta_over", {})
+        theta_over = {k: over.number(k) for k in over.data if k in ("X", "SX")}
+        over.done()
+        rates = {k: noise.number(k, 0.0) for k in ("lam_1q", "lam_2q", "theta_idle", "eps_ro")}
+        noise.done()
+        return cls(theta_over=theta_over, **rates)
 
 
 # Widest circuit whose exact process fidelity ``sim`` computes; each batch of

@@ -11,12 +11,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from mirrorbench.core import SchemaError, is_number, open_atomic
+from mirrorbench.core import BENCHMARK_TYPES, JsonObject, SchemaError, open_atomic
 
 __all__ = ["Manifest", "read_manifest", "write_manifest"]
 
-BENCHMARK_TYPES = ("low_level", "full_stack", "subcircuit")
-RECORD_KINDS = ("M1", "M2", "M3", "benchmark", "input")
+MIRROR_KINDS = ("M1", "M2", "M3")
+RECORD_KINDS = (*MIRROR_KINDS, "benchmark", "input")
+_FIELDS = ("benchmark_type", "sampling", "records")
 
 
 @dataclass
@@ -26,7 +27,9 @@ class Manifest:
     Records are plain dicts so unknown fields survive a read/write round-trip.
     Known record fields: id, kind (M1 | M2 | M3 | benchmark | input), parent_id,
     target_bitstring, width, depth, shape, transpile_config_digest, and trotter
-    (a Trotter benchmark's order, steps, time and, when computed, F_alg).
+    (a Trotter benchmark's order, steps, time and, when computed, F_alg). Every
+    record has an id, a kind and a width; a benchmark also has a depth, and a
+    proxy (M1 | M2 | M3) a parent_id and a target_bitstring.
     """
 
     benchmark_type: str
@@ -38,54 +41,41 @@ class Manifest:
         self.validate()
 
     def validate(self):
-        if self.benchmark_type not in BENCHMARK_TYPES:
-            raise SchemaError(
-                f"benchmark_type must be one of {BENCHMARK_TYPES}",
-                "$.benchmark_type")
+        """Read every known field as the JSON type it must be (``core.JsonObject``)."""
+        root = JsonObject(self.to_dict(), "$")
+        root.one_of("benchmark_type", BENCHMARK_TYPES)
+        sampling = root.object("sampling")
         for key in ("m1", "m2", "m3", "shots", "seed"):
-            if key not in self.sampling:
-                raise SchemaError(f"missing sampling key {key!r}", f"$.sampling.{key}")
-            if not isinstance(self.sampling[key], int):
-                raise SchemaError("sampling values must be integers",
-                                  f"$.sampling.{key}")
-        seen: set[str] = set()
-        benchmark_ids: set[str] = set()
-        for i, rec in enumerate(self.records):
-            p = f"$.records[{i}]"
-            for key in ("id", "kind"):
-                if key not in rec:
-                    raise SchemaError(f"missing key {key!r}", p)
-            if rec["kind"] not in RECORD_KINDS:
-                raise SchemaError(f"kind must be one of {RECORD_KINDS}", f"{p}.kind")
-            if rec["id"] in seen:
-                raise SchemaError(f"duplicate id {rec['id']!r}", f"{p}.id")
-            seen.add(rec["id"])
-            if rec["kind"] == "benchmark":
-                benchmark_ids.add(rec["id"])
-            tm = rec.get("trotter", {})
-            if not isinstance(tm, dict) or not is_number(tm.get("F_alg", 0.0)):
-                raise SchemaError("trotter must be an object with a numeric F_alg", p)
-            tb = rec.get("target_bitstring")
-            if tb is not None:
-                if "width" not in rec:
-                    raise SchemaError("target_bitstring requires width", p)
-                if len(tb) != rec["width"]:
-                    raise SchemaError(
-                        f"target bitstring length {len(tb)} != width {rec['width']}",
-                        f"{p}.target_bitstring")
-                if set(tb) - {"0", "1"}:
-                    raise SchemaError("target bitstring must be binary",
-                                      f"{p}.target_bitstring")
-        for i, rec in enumerate(self.records):
-            if rec["kind"] in ("M1", "M2", "M3"):
-                parent = rec.get("parent_id")
-                if parent is None or parent not in benchmark_ids:
-                    raise SchemaError(
-                        f"mirror record needs a parent benchmark record, got "
-                        f"parent_id={parent!r}", f"$.records[{i}].parent_id")
+            sampling.count(key, least=0 if key == "seed" else 1)
+        sampling.done()
+        kinds, parents = {}, []  # id -> kind; (path, parent_id) of each proxy
+        for i, data in enumerate(root.get("records", what="a list", fits=list)):
+            rec = JsonObject(data, f"$.records[{i}]")
+            rid, kind = rec.string("id"), rec.one_of("kind", RECORD_KINDS)
+            if rid in kinds:
+                raise SchemaError(f"duplicate id {rid!r}", f"{rec.path}.id")
+            kinds[rid] = kind
+            width = rec.count("width")
+            rec.count("depth", ... if kind == "benchmark" else None, least=0)
+            rec.get("shape", None, "a [width, depth] pair of positive integers", lambda v: (
+                isinstance(v, list) and len(v) == 2 and all(type(x) is int and x > 0 for x in v)))
+            rec.string("transpile_config_digest", None)
+            rec.object("trotter", {}).number("F_alg", 0.0)
+            parent = rec.get("parent_id", None, "a string or null",
+                             lambda v: v is None or isinstance(v, str))
+            tb = rec.string("target_bitstring", ... if kind in MIRROR_KINDS else None)
+            if tb is not None and (len(tb) != width or set(tb) - {"0", "1"}):
+                raise SchemaError(f"must be {width} binary digits, got {json.dumps(tb)}",
+                                  f"{rec.path}.target_bitstring")
+            if kind in MIRROR_KINDS:
+                parents.append((rec.path, parent))
+        for path, parent in parents:
+            if kinds.get(parent) != "benchmark":
+                raise SchemaError(f"mirror record needs a parent benchmark record, got "
+                                  f"parent_id={parent!r}", f"{path}.parent_id")
 
     def mirror_records(self) -> list[dict]:
-        return [r for r in self.records if r["kind"] in ("M1", "M2", "M3")]
+        return [r for r in self.records if r["kind"] in MIRROR_KINDS]
 
     def to_dict(self) -> dict:
         d = dict(self.extra)
@@ -94,18 +84,9 @@ class Manifest:
         return d
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Manifest":
-        if not isinstance(d, dict):
-            raise SchemaError("manifest must be an object", "$")
-        for key in ("benchmark_type", "sampling", "records"):
-            if key not in d:
-                raise SchemaError(f"missing key {key!r}", f"$.{key}")
-        if not isinstance(d["records"], list):
-            raise SchemaError("records must be a list", "$.records")
-        extra = {k: v for k, v in d.items()
-                 if k not in ("benchmark_type", "sampling", "records")}
-        return cls(d["benchmark_type"], dict(d["sampling"]),
-                   [dict(r) for r in d["records"]], extra)
+    def from_dict(cls, d) -> "Manifest":
+        root = JsonObject(d, "$")
+        return cls(*map(root.get, _FIELDS), {k: v for k, v in d.items() if k not in _FIELDS})
 
 
 def read_manifest(path: str) -> Manifest:

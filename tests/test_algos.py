@@ -27,6 +27,7 @@ from mirrorbench.circuits import (
     equal_up_to_phase,
     layerize,
 )
+from mirrorbench.core import SchemaError
 from mirrorbench.sim import unitary_of
 
 
@@ -85,6 +86,22 @@ class TestBrickwork:
 
     def test_deterministic(self):
         assert brickwork_u3_cz(4, 6, 9).layers == brickwork_u3_cz(4, 6, 9).layers
+
+
+# The rule each from_dict case checks, which also names the case.
+HAMILTONIAN_RULES = [
+    "Hamiltonian 'n' must be a positive integer, got 3.0",
+    "Hamiltonian 'n' must be a positive integer, got True",
+    "Hamiltonian 'n' must be a positive integer, got None",
+    "Hamiltonian 'terms' must be a list of",
+    "Hamiltonian 'terms' must be a list of",
+    "Hamiltonian 'terms' must be a list of",
+    "Hamiltonian 'terms' must be a list of",
+    "Hamiltonian 'terms' must be a list of",
+    "Hamiltonian 'offset' must be a number, got '1'",
+    "unknown Hamiltonian key 'field'",
+    "a Hamiltonian must be a JSON object",
+]
 
 
 class TestHamiltonians:
@@ -151,20 +168,20 @@ class TestHamiltonians:
 
     @pytest.mark.parametrize("d, message", [
         ({"n": 3.0, "terms": [[1.0, "ZZI"]]},
-         "Hamiltonian 'n' must be a positive integer, got 3.0"),
-        ({"n": True, "terms": []}, "Hamiltonian 'n' must be a positive integer, got True"),
-        ({"terms": []}, "Hamiltonian 'n' must be a positive integer, got None"),
-        ({"n": 3, "terms": [[True, "ZZI"]]}, "Hamiltonian 'terms' must be a list of"),
-        ({"n": 3, "terms": [["0.5", "IXX"]]}, "Hamiltonian 'terms' must be a list of"),
-        ({"n": 3, "terms": [[0.5, 7]]}, "Hamiltonian 'terms' must be a list of"),
-        ({"n": 3, "terms": [[0.5, "IXX", 1]]}, "Hamiltonian 'terms' must be a list of"),
-        ({"n": 3, "terms": "ZZI"}, "Hamiltonian 'terms' must be a list of"),
-        ({"n": 3, "terms": [], "offset": "1"}, "Hamiltonian 'offset' must be a number, got '1'"),
-        ({"n": 3, "terms": [], "field": 2.0}, "unknown Hamiltonian key 'field'"),
-        ([3, []], "a Hamiltonian must be a JSON object"),
-    ])
+         "hamiltonian: 'n' must be a positive integer, got 3.0"),
+        ({"n": True, "terms": []}, "hamiltonian: 'n' must be a positive integer, got true"),
+        ({"terms": []}, "hamiltonian: missing required key 'n'"),
+        ({"n": 3, "terms": [[True, "ZZI"]]}, "hamiltonian: 'terms' must be a list of"),
+        ({"n": 3, "terms": [["0.5", "IXX"]]}, "hamiltonian: 'terms' must be a list of"),
+        ({"n": 3, "terms": [[0.5, 7]]}, "hamiltonian: 'terms' must be a list of"),
+        ({"n": 3, "terms": [[0.5, "IXX", 1]]}, "hamiltonian: 'terms' must be a list of"),
+        ({"n": 3, "terms": "ZZI"}, "hamiltonian: 'terms' must be a list of"),
+        ({"n": 3, "terms": [], "offset": "1"}, "hamiltonian: 'offset' must be a finite number, got \"1\""),
+        ({"n": 3, "terms": [], "field": 2.0}, "hamiltonian: unexpected key 'field'"),
+        ([3, []], "hamiltonian: must be a JSON object, got [3, []]"),
+    ], ids=[f"d{i}-{rule}" for i, rule in enumerate(HAMILTONIAN_RULES)])
     def test_from_dict_rejects_what_it_would_coerce(self, d, message):
-        with pytest.raises(ContractError, match=f"^{re.escape(message)}"):
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}"):
             PauliSumHamiltonian.from_dict(d)
 
     def test_validation(self):

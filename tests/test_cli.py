@@ -1,13 +1,17 @@
 import cmath
+import copy
 import csv
 import hashlib
 import json
 import os
 import pathlib
 import re
+import tempfile
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirrorbench import sim
 from mirrorbench.circuits import CapacityError, ContractError
@@ -134,8 +138,8 @@ BAD_INTEGERS = {
     "samples-per-shape": (with_changes(SUBCIRCUIT_CONFIG, {"shapes": {
         "samples_per_shape": 0}}), "'samples_per_shape'"),
 }
-FILE_TROTTER_CONFIG = with_changes(TROTTER_CONFIG, {"inputs": {"family": {
-    "hamiltonian": {"type": "file", "path": "ham.json"}}}})
+FILE_TROTTER_CONFIG = dict(TROTTER_CONFIG, inputs={"family": dict(
+    TROTTER_CONFIG["inputs"]["family"], hamiltonian={"type": "file", "path": "ham.json"})})
 # name -> (config whose one value was coerced or ignored, the key the error
 # names, the Hamiltonian written to ham.json or None): a list or 0 noise ran
 # noiseless, float() read "2" and true, any truthy compile_to_native compiled,
@@ -165,6 +169,44 @@ BAD_VALUES = {
     "hamiltonian-unknown-key": (FILE_TROTTER_CONFIG, "'nn'",
                                 {"n": 3, "nn": 3, "terms": [[1.0, "ZZI"]]}),
 }
+# name -> (config, the message part naming the key): a misspelt key was
+# dropped without a word, a section of the wrong JSON type ended in a catch-all
+# message naming no key, "hamiltonian": "tfim" said a 'type' was missing, and
+# a section the benchmark type does not read, or a family next to qasm_paths,
+# was ignored.
+BAD_VALUES.update({name: (cfg, key, None) for name, (cfg, key) in {
+    "misspelt-root-key": (dict(BRICK_CONFIG, shot=50), "config: unexpected key 'shot'"),
+    "misspelt-family-key": (with_changes(BRICK_CONFIG, {"inputs": {"family": {"sed": 5}}}),
+                            "config.inputs.family: unexpected key 'sed'"),
+    "misspelt-sampling-key": (with_changes(BRICK_CONFIG, {"sampling": {"m4": 9}}),
+                              "config.sampling: unexpected key 'm4'"),
+    "list-sampling": (dict(BRICK_CONFIG, sampling=[1, 2]), "config: 'sampling' must be"),
+    "int-family": (dict(BRICK_CONFIG, inputs={"family": 7}), "config.inputs: 'family' must be"),
+    "three-item-shape": (with_changes(SUBCIRCUIT_CONFIG, {"shapes": {"shapes": [[1, 1, 1]]}}),
+                         "config.shapes: 'shapes' must be"),
+    "string-transpile": (dict(FULL_STACK_CONFIG, transpile="line"),
+                         "config: 'transpile' must be"),
+    "string-hamiltonian": (with_changes(TROTTER_CONFIG, {"inputs": {"family": {
+        "hamiltonian": "tfim"}}}), "config.inputs.family: 'hamiltonian' must be"),
+    "transpile-in-low-level": (dict(BRICK_CONFIG, transpile={"coupling": "line"}),
+                               "config: unexpected key 'transpile'"),
+    "shapes-in-full-stack": (dict(FULL_STACK_CONFIG, shapes=SUBCIRCUIT_CONFIG["shapes"]),
+                             "config: unexpected key 'shapes'"),
+    "family-and-qasm-paths": (dict(BRICK_CONFIG, inputs=dict(BRICK_CONFIG["inputs"],
+                                                             qasm_paths=["a.qasm"])),
+                              "config.inputs: unexpected key 'family'"),
+    "empty-qasm-paths": (dict(FULL_STACK_CONFIG, inputs={"qasm_paths": []}),
+                         "config.inputs: 'qasm_paths' must be a non-empty list"),
+    # float() of an integer past the float range raised OverflowError.
+    "huge-time": (with_changes(TROTTER_CONFIG, {"inputs": {"family": {"time": 10 ** 400}}}),
+                  "config.inputs.family: 'time' must be a finite number"),
+    "nan-noise": (dict(BRICK_CONFIG, noise={"lam_1q": float("nan")}),
+                  "config.noise: 'lam_1q' must be a finite number, got NaN"),
+}.items()})
+# A key a file Hamiltonian does not read, left over from another type.
+BAD_VALUES["file-hamiltonian-leftover-key"] = (
+    with_changes(FILE_TROTTER_CONFIG, {"inputs": {"family": {"hamiltonian": {"n": 3}}}}),
+    "config.inputs.family.hamiltonian: unexpected key 'n'", {"n": 3, "terms": [[1.0, "ZZI"]]})
 # A coupling object's n and edges were passed on unchecked: each of these
 # exited 2 with a message that named no key, or read true as 1.
 for name, coupling in {"float-n": {"n": 3.0, "edges": [[0, 1], [1, 2]]},
@@ -174,7 +216,7 @@ for name, coupling in {"float-n": {"n": 3.0, "edges": [[0, 1], [1, 2]]},
                        "edge-out-of-range": {"n": 3, "edges": [[0, 1], [1, 3]]},
                        "disconnected": {"n": 3, "edges": [[0, 1]]}}.items():
     BAD_VALUES[f"coupling-{name}"] = (dict(FULL_STACK_CONFIG, transpile={"coupling": coupling}),
-                                      "transpile: 'coupling'", None)
+                                      "config.transpile.coupling", None)
 
 
 def read_csv(path):
@@ -331,6 +373,50 @@ class TestPipeline:
             "results.csv": "7a406fc3d74568e3e0dad3bed218fe6ff5344c31351a2d97da872c6610736a33",
             "results.csv without sigma_boot":
                 "0d6ef7069a58eff4213a884be5608c99a5c1c33737834680f60c048135be4a8f"}
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m["records"].__setitem__(3, 5), "$.records[3]: must be a JSON object"),
+        (lambda m: m["records"][0].update(id=["x"]), "$.records[0]: 'id' must be a string"),
+        (lambda m: m.update(sampling=5), "$: 'sampling' must be a JSON object"),
+        (lambda m: m["records"][1].update(target_bitstring=5),
+         "$.records[1]: 'target_bitstring' must be a string"),
+        (lambda m: m["records"][0].update(width="3"),
+         "$.records[0]: 'width' must be a positive integer"),
+    ], ids=["number-record", "list-id", "number-sampling", "number-target", "string-width"])
+    def test_malformed_manifest_exits_2(self, runner, tmp_path, edit, message):
+        # Each ended analyze, report and oracle in a traceback, except the
+        # string width, which report read without a word.
+        out = self._generate(runner, tmp_path)
+        run_ok(runner, ["simulate", "--out", out])
+        run_ok(runner, ["analyze", "--out", out, "--bootstrap", "5"])
+        path = pathlib.Path(out, "manifest.json")
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        for stage in ("analyze", "report", "oracle"):
+            result = run_err(runner, [stage, "--out", out], 2)
+            assert result.stderr.startswith(f"config error: {message}"), (stage, result.stderr)
+
+    def test_analyze_names_benchmark_without_a_kind(self, runner, tmp_path):
+        out = self._generate(runner, tmp_path)
+        run_ok(runner, ["simulate", "--out", out])
+        path = pathlib.Path(out, "manifest.json")
+        manifest = json.loads(path.read_text())
+        manifest["records"] = [r for r in manifest["records"] if r["kind"] != "M3"]
+        path.write_text(json.dumps(manifest))
+        result = run_err(runner, ["analyze", "--out", out], 2)
+        bench = manifest["records"][0]["id"]
+        assert f"{bench}: no polarizations for kind M3" in result.stderr
+
+    def test_analyze_names_proxy_of_other_width(self, runner, tmp_path):
+        out = self._generate(runner, tmp_path)
+        run_ok(runner, ["simulate", "--out", out])
+        path = pathlib.Path(out, "shots.jsonl")
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        records[0].update(width=2, counts={k[1:]: v for k, v in records[0]["counts"].items()})
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        result = run_err(runner, ["analyze", "--out", out], 2)
+        assert f"{records[0]['circuit_id']}: target length 3 != shot width 2" in result.stderr
 
     def test_report_without_results_exits_3(self, runner, tmp_path):
         out = self._generate(runner, tmp_path)
@@ -753,3 +839,65 @@ class TestFullStackConfig:
         manifest = json.loads(pathlib.Path(out, "manifest.json").read_text())
         bench = [r for r in manifest["records"] if r["kind"] == "benchmark"]
         assert all(abs(r["intrinsic_fidelity"] - 1.0) < 1e-9 for r in bench)
+
+
+# One value of each JSON type; a replacement is one of another type.
+JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-2, 3),
+                        st.floats(-2, 3, allow_nan=False), st.text(max_size=3),
+                        st.lists(st.integers(0, 3), max_size=2),
+                        st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=2))
+
+
+def json_type(v):
+    return type(v).__name__  # bool, int and float are told apart
+
+
+def key_paths(obj, path=()):
+    """The path of every key of ``obj``, at any depth of nested objects."""
+    for key, value in obj.items():
+        yield (*path, key)
+        if isinstance(value, dict):
+            yield from key_paths(value, (*path, key))
+
+
+class TestConfigMutations:
+    @pytest.mark.parametrize("cfg", [BRICK_CONFIG, FULL_STACK_CONFIG, TROTTER_CONFIG,
+                                     FILE_TROTTER_CONFIG, SUBCIRCUIT_CONFIG],
+                             ids=["brickwork", "full-stack", "trotter", "file-trotter",
+                                  "subcircuit"])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_one_bad_key_exits_0_or_2_naming_it(self, cfg, data):
+        # With generate's catch-all gone, no value of the wrong JSON type and
+        # no misspelt key may end generate in a traceback.
+        with tempfile.TemporaryDirectory() as tmp:
+            ham = os.path.join(tmp, "ham.json")
+            with open(ham, "w") as fp:
+                json.dump({"n": 3, "terms": [[1.0, "ZZI"]]}, fp)
+            cfg = copy.deepcopy(cfg)
+            hamiltonian = cfg["inputs"]["family"].get("hamiltonian", {})
+            if "path" in hamiltonian:
+                hamiltonian["path"] = ham
+            *parents, key = data.draw(st.sampled_from(list(key_paths(cfg))))
+            section = cfg
+            for k in parents:
+                section = section[k]
+            if data.draw(st.booleans()):
+                value = section[key]
+                key = data.draw(st.sampled_from([key[:-1], key + key[-1], key.upper()]).filter(
+                    lambda k: k and k not in section))
+                section[key] = value
+            else:
+                original = section[key]
+                section[key] = data.draw(JSON_VALUES.filter(
+                    lambda v: json_type(v) != json_type(original)))
+            path = os.path.join(tmp, "config.json")
+            with open(path, "w") as fp:
+                json.dump(cfg, fp)
+            result = CliRunner().invoke(main, ["generate", "--config", path,
+                                               "--out", os.path.join(tmp, "exp")])
+        assert result.exit_code in (0, 2), result.output
+        assert "Traceback" not in result.output
+        if result.exit_code == 2:
+            assert len(result.stderr.splitlines()) == 1, result.stderr
+            assert f"'{key}'" in result.stderr or f".{key}:" in result.stderr, result.stderr

@@ -28,7 +28,7 @@ from mirrorbench.circuits import (
     gate_matrix,
     layerize,
 )
-from mirrorbench.core import ORACLE_MAX_N
+from mirrorbench.core import ORACLE_MAX_N, SchemaError
 from mirrorbench.sim import (
     NoiseModel,
     ShotTable,
@@ -74,6 +74,17 @@ def random_noise_model(rng, coherent_only=False):
                       eps_ro=float(rng.uniform(0, 0.1)), **coherent)
 
 
+# The rule each from_dict case checks, which also names the case.
+NOISE_RULES = [
+    "unknown key 'lam_1'",
+    "lam_1q must be a number, got True",
+    "eps_ro must be a number, got '0.1'",
+    "theta_over['X'] must be a number, got True",
+    "noise and its theta_over must be JSON objects",
+    "noise and its theta_over must be JSON objects",
+]
+
+
 class TestNoiseModel:
     def test_validation(self):
         with pytest.raises(ContractError):
@@ -89,15 +100,16 @@ class TestNoiseModel:
             theta_idle=0.07, eps_ro=0.02)
 
     @pytest.mark.parametrize("d, message", [
-        ({"lam_1": 0.5, "lam_1q": 0.1}, "unknown key 'lam_1'"),
-        ({"lam_1q": True}, "lam_1q must be a number, got True"),
-        ({"eps_ro": "0.1"}, "eps_ro must be a number, got '0.1'"),
-        ({"theta_over": {"X": True}}, "theta_over['X'] must be a number, got True"),
-        ({"theta_over": [["X", 0.1]]}, "noise and its theta_over must be JSON objects"),
-        ([], "noise and its theta_over must be JSON objects"),
-    ])
+        ({"lam_1": 0.5, "lam_1q": 0.1}, "noise: unexpected key 'lam_1'"),
+        ({"lam_1q": True}, "noise: 'lam_1q' must be a finite number, got true"),
+        ({"eps_ro": "0.1"}, "noise: 'eps_ro' must be a finite number, got \"0.1\""),
+        ({"theta_over": {"X": True}}, "noise.theta_over: 'X' must be a finite number, got true"),
+        ({"theta_over": [["X", 0.1]]},
+         "noise: 'theta_over' must be a JSON object, got [[\"X\", 0.1]]"),
+        ([], "noise: must be a JSON object, got []"),
+    ], ids=[f"d{i}-{rule}" for i, rule in enumerate(NOISE_RULES)])
     def test_from_dict_rejects_what_it_would_drop_or_coerce(self, d, message):
-        with pytest.raises(ContractError, match=f"^{re.escape(message)}"):
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
             NoiseModel.from_dict(d)
 
     def test_noiseless(self):

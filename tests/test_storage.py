@@ -218,7 +218,8 @@ class TestManifest:
 
     def test_unknown_fields_preserved(self, tmp_path):
         m = Manifest("subcircuit", dict(SAMPLING),
-                     [{"id": "b", "kind": "benchmark", "custom": [1, 2]}],
+                     [{"id": "b", "kind": "benchmark", "width": 1, "depth": 0,
+                       "custom": [1, 2]}],
                      extra={"note": "hello"})
         path = tmp_path / "m.json"
         write_manifest(str(path), m)
@@ -229,7 +230,7 @@ class TestManifest:
     def test_target_length_mismatch(self):
         with pytest.raises(SchemaError) as e:
             Manifest("low_level", dict(SAMPLING),
-                     [{"id": "b", "kind": "benchmark"},
+                     [{"id": "b", "kind": "benchmark", "width": 3, "depth": 1},
                       {"id": "m", "kind": "M1", "parent_id": "b",
                        "target_bitstring": "0101", "width": 3}])
         assert "target_bitstring" in e.value.path
@@ -237,8 +238,8 @@ class TestManifest:
     def test_duplicate_ids(self):
         with pytest.raises(SchemaError):
             Manifest("low_level", dict(SAMPLING),
-                     [{"id": "b", "kind": "benchmark"},
-                      {"id": "b", "kind": "benchmark"}])
+                     [{"id": "b", "kind": "benchmark", "width": 1, "depth": 1},
+                      {"id": "b", "kind": "benchmark", "width": 1, "depth": 1}])
 
     def test_orphan_mirror(self):
         with pytest.raises(SchemaError) as e:
@@ -250,7 +251,7 @@ class TestManifest:
     def test_bad_benchmark_type(self):
         with pytest.raises(SchemaError) as e:
             Manifest("bogus", dict(SAMPLING), [])
-        assert e.value.path == "$.benchmark_type"
+        assert e.value.path == "$" and "'benchmark_type'" in str(e.value)
 
     def test_missing_sampling_key(self):
         with pytest.raises(SchemaError) as e:
