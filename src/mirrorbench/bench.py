@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Iterator
 import numpy as np
 
 from mirrorbench.circuits import Circuit, ContractError, CouplingGraph, permutation_matrix
-from mirrorbench.core import ConfigError, JsonObject, decoding
+from mirrorbench.core import JsonObject, decoding
 from mirrorbench.manifest import Manifest
 from mirrorbench.mirror import MirrorCircuit, SamplingParams, build_suite, check_native
 from mirrorbench.sim import derive_seed, process_fidelity_unitaries, unitary_of
@@ -248,10 +248,8 @@ def _coupling_from(tc: JsonObject, n: int) -> CouplingGraph:
     coupling = tc.object("coupling")
     width, edges = coupling.count("n"), coupling.pairs("edges", "a, b", least=0)
     coupling.done()
-    try:
+    with coupling.building():
         return CouplingGraph(width, frozenset(tuple(e) for e in edges))
-    except ContractError as e:
-        raise ConfigError(f"{coupling.path}: {e}") from None
 
 
 def _hamiltonian_from(spec: JsonObject) -> PauliSumHamiltonian:
@@ -262,12 +260,13 @@ def _hamiltonian_from(spec: JsonObject) -> PauliSumHamiltonian:
         path = spec.string("path")
         spec.done()
         with decoding(path), open(path, encoding="utf-8") as fp:
-            return algos.PauliSumHamiltonian.from_dict(json.load(fp), path)
+            return algos.PauliSumHamiltonian.from_dict(json.load(fp), "$")
     n = spec.count("n")
-    if kind == "max3sat":
-        h = algos.max3sat(n, spec.count("r", 2), spec.count("seed", 0, least=0))
-    else:
-        h = algos.tfim(n) if kind == "tfim" else algos.heisenberg(n)
+    with spec.building():
+        if kind == "max3sat":
+            h = algos.max3sat(n, spec.count("r", 2), spec.count("seed", 0, least=0))
+        else:
+            h = algos.tfim(n) if kind == "tfim" else algos.heisenberg(n)
     spec.done()
     return h
 
@@ -293,12 +292,15 @@ def _input_circuits(inputs: JsonObject, benchmark_type: str) -> list[Circuit]:
     kind = family.one_of("kind", ("brickwork", "qft", "qaoa", "trotter"))
     if kind != "trotter":
         n = family.count("n")
-        if kind == "brickwork":
-            c = algos.brickwork_u3_cz(n, family.count("depth"), family.count("seed", 0, least=0))
-        elif kind == "qft":
-            c = algos.qft_circuit(n)
-        else:
-            c = algos.qaoa_circuit(n, family.count("seed", 0, least=0), family.count("reps", 1))
+        with family.building():
+            if kind == "brickwork":
+                c = algos.brickwork_u3_cz(n, family.count("depth"),
+                                          family.count("seed", 0, least=0))
+            elif kind == "qft":
+                c = algos.qft_circuit(n)
+            else:
+                c = algos.qaoa_circuit(n, family.count("seed", 0, least=0),
+                                       family.count("reps", 1))
         family.done()
         return [c]
     h = _hamiltonian_from(family.object("hamiltonian"))
@@ -306,7 +308,8 @@ def _input_circuits(inputs: JsonObject, benchmark_type: str) -> list[Circuit]:
     steps = family.count("steps_list", [family.count("steps", 1)], many=True)
     t = family.number("time", 1.0)
     family.done()
-    specs = [algos.TrotterSpec(order, m, t) for order in orders for m in steps]
+    with family.building():
+        specs = [algos.TrotterSpec(order, m, t) for order in orders for m in steps]
     circuits = [algos.trotter_circuit(h, spec) for spec in specs]
     if h.n <= algos.EVOLUTION_MAX_N and benchmark_type != "subcircuit":
         # A fixed property of the circuit, recorded once for report (a
@@ -335,7 +338,8 @@ def suite_from_config(cfg: JsonObject) -> BenchmarkSuite:
     if bt == "full_stack":
         tc = cfg.object("transpile", {})
         coupling = _coupling_from(tc, max(c.n for c in circuits))
-        tcfg = TranspileConfig(coupling, tc.number("approximation_degree", 1.0), seed)
+        with tc.building():
+            tcfg = TranspileConfig(coupling, tc.number("approximation_degree", 1.0), seed)
         reps = tc.count("reps", 1)
         tc.done()
     elif bt == "subcircuit":

@@ -24,6 +24,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -54,6 +55,7 @@ from mirrorbench.core import (
 )
 
 if TYPE_CHECKING:
+    from mirrorbench.circuits import Circuit
     from mirrorbench.manifest import Manifest
     from mirrorbench.shots import ShotTable
 
@@ -98,11 +100,8 @@ def _open_input(out_dir: str, name: str, **kwargs):
 
 def _load_config(path: str) -> JsonObject:
     """The config at ``path``, with the keys every stage reads checked."""
-    try:
-        with open(path, encoding="utf-8") as fp:
-            data = json.load(fp)
-    except (OSError, ValueError) as e:
-        raise ConfigError(f"cannot read config {path}: {e}") from None
+    with decoding(path), open(path, encoding="utf-8") as fp:
+        data = json.load(fp)
     cfg = JsonObject(data, "config")
     cfg.one_of("benchmark_type", BENCHMARK_TYPES)
     cfg.count("seed", least=0)  # mandatory, for reproducibility
@@ -124,10 +123,26 @@ def _experiment(out_dir: str) -> tuple[JsonObject, Manifest]:
 
 
 def _noise(cfg: JsonObject) -> NoiseModel:
-    try:
-        return NoiseModel.from_dict(cfg.get("noise", {}), f"{cfg.path}.noise")
-    except ContractError as e:
-        raise ConfigError(f"{cfg.path}.noise: {e}") from None
+    return NoiseModel.from_dict(cfg.get("noise", {}), f"{cfg.path}.noise")
+
+
+def _circuits(out_dir: str, ids: list[str], what: str) -> list[Circuit]:
+    """The circuits ``ids`` (the manifest's ``what``) from circuits.jsonl, in
+    the order of ``ids``; a MissingDataError names those the file lacks."""
+    from mirrorbench.storage import read_circuits
+
+    found, wanted = {}, set(ids)
+    with _open_input(out_dir, "circuits.jsonl") as fp:
+        for c in read_circuits(fp):
+            if c.id in wanted:
+                found[c.id] = c
+                if len(found) == len(wanted):
+                    break
+    missing = [i for i in ids if i not in found]
+    if missing:
+        raise MissingDataError(f"circuits.jsonl lacks {len(missing)} of the manifest's "
+                               f"{what}: {_some(missing)} (run generate)")
+    return [found[i] for i in ids]
 
 
 # --- commands ------------------------------------------------------------------------
@@ -164,10 +179,7 @@ def generate(config_path: str, out_dir: str):
 
     t0 = time.monotonic()
     cfg = _load_config(config_path)
-    try:
-        suite = suite_from_config(cfg)
-    except OSError as e:  # an input file the config names
-        raise ConfigError(f"cannot read input file: {e}") from None
+    suite = suite_from_config(cfg)
     os.makedirs(out_dir, exist_ok=True)
     for name in _DERIVED:
         with contextlib.suppress(FileNotFoundError):
@@ -189,14 +201,19 @@ def _shot_seed(master: int, circuit_id: str) -> int:
     return int(derive_seed(master, circuit_id, "shots").integers(0, 2 ** 31))
 
 
+def _table_or_failure(circuit_id: str, sampler, *args):
+    """``sampler(*args)`` and no failure, or none and why the proxy is beyond the sampler."""
+    try:
+        return sampler(*args), None
+    except CapacityError as e:
+        return None, f"{circuit_id}: {e}"
+
+
 def _simulate_one(payload):
     from mirrorbench.sim import sample_shots
 
-    c, nm, shots, seed = payload
-    try:
-        return sample_shots(c, nm, shots, seed), None
-    except CapacityError as e:
-        return None, f"{c.id}: {e}"
+    c, *args = payload
+    return _table_or_failure(c.id, sample_shots, c, *args)
 
 
 @main.command()
@@ -225,23 +242,14 @@ def simulate(out_dir, fake_uniform, jobs):
         # lists the proxies in circuits.jsonl order.
         payloads = [(r["width"], _shot_seed(master, r["id"]), r["id"]) for r in mirrors]
     else:
-        from mirrorbench.storage import read_circuits
-
-        mirror_ids = {r["id"] for r in mirrors}
-        with _open_input(out_dir, "circuits.jsonl") as fp:
-            payloads = [(c, nm, shots, _shot_seed(master, c.id))
-                        for c in read_circuits(fp) if c.id in mirror_ids]
-        found = {c.id for c, *_ in payloads}
-        missing = [r["id"] for r in mirrors if r["id"] not in found]
-        if missing:
-            raise MissingDataError(f"circuits.jsonl lacks {len(missing)} of the manifest's "
-                                   f"proxies: {_some(missing)} (run generate)")
+        payloads = [(c, nm, shots, _shot_seed(master, c.id))
+                    for c in _circuits(out_dir, [r["id"] for r in mirrors], "proxies")]
 
     failures = []
     with contextlib.ExitStack() as stack:
         fp = stack.enter_context(open_atomic(os.path.join(out_dir, "shots.jsonl")))
         if fake_uniform:
-            results = ((fake_uniform_shots(n, shots, s, cid), None)
+            results = (_table_or_failure(cid, fake_uniform_shots, n, shots, s, cid)
                        for n, s, cid in payloads)
         elif jobs > 1:
             from concurrent.futures import ProcessPoolExecutor
@@ -315,25 +323,58 @@ def analyze(out_dir, bootstrap):
     click.echo(f"analyzed {len(records)} benchmarks in {time.monotonic() - t0:.2f}s")
 
 
-def _record_from(row: dict) -> FidelityRecord:
-    shape = (int(row["shape_w"]), int(row["shape_d"])) if row["shape_w"] else None
-    return FidelityRecord(
-        row["benchmark_id"], float(row["F_hat"]), float(row["F_clamped"]),
-        float(row["sigma_boot"]), float(row["S1"]), float(row["S2"]),
-        float(row["S3"]), int(row["width"]), int(row["depth"]), shape,
-        flags=tuple(f for f in row["flags"].split(";") if f))
+def _digits(text: str) -> int | None:
+    return int(text) if text.isascii() and text.isdigit() else None  # no sign, space or _
+
+
+# column -> (what its text must be, how it is read, the test its value meets)
+_RESULT_TYPES = {
+    "width": ("a positive integer", _digits, lambda v: v >= 1),
+    "depth": ("a non-negative integer", _digits, lambda v: v >= 0),
+    "shape_w": ("a positive integer, as shape_d is", _digits, lambda v: v >= 1),
+    "shape_d": ("a positive integer, as shape_w is", _digits, lambda v: v >= 1),
+    "F_hat": ("a finite number or nan", float, lambda v: not math.isinf(v)),
+    "F_clamped": ("a number in [0, 1]", float, lambda v: 0.0 <= v <= 1.0),
+    "sigma_boot": ("a finite number >= 0 or nan", float,
+                   lambda v: math.isnan(v) or 0.0 <= v < math.inf),
+    **{s: ("a finite number", float, math.isfinite) for s in ("S1", "S2", "S3")},
+}
+
+
+def _cell(row: dict, column: str, line: int):
+    """The value of ``column`` in a results.csv row, read as its column's type."""
+    what, parse, fits = _RESULT_TYPES[column]
+    text = row[column] or ""  # None in a row shorter than the header
+    with contextlib.suppress(ValueError):
+        value = parse(text)
+        if value is not None and fits(value):
+            return value
+    raise SchemaError(f"{column!r} must be {what}, got {json.dumps(text)}", f"line {line}")
 
 
 def _read_results(out_dir: str) -> list[FidelityRecord]:
-    """The records ``analyze`` wrote; a malformed results.csv is a ConfigError."""
+    """The records ``analyze`` wrote. A missing column, a value not of its
+    column's type, or a repeated benchmark_id is a ConfigError naming the
+    file, the line and the column."""
+    records, lines = [], {}
     with _open_input(out_dir, "results.csv", newline="") as fp:
-        rows = list(csv.DictReader(fp))
-    try:
-        return [_record_from(row) for row in rows]
-    except KeyError as e:
-        raise ConfigError(f"{fp.name}: missing column {e}") from None
-    except (AttributeError, TypeError, ValueError) as e:
-        raise ConfigError(f"{fp.name}: bad value ({e})") from None
+        rows = csv.DictReader(fp)
+        for column in RESULT_COLUMNS:
+            if column not in (rows.fieldnames or ()):
+                raise SchemaError(f"missing column {column!r}", "line 1")
+        for row in rows:
+            line, bid = rows.line_num, row["benchmark_id"]
+            if bid in lines:
+                raise SchemaError(f"'benchmark_id' {json.dumps(bid)} repeats line "
+                                  f"{lines[bid]}", f"line {line}")
+            lines[bid] = line
+            shape = (tuple(_cell(row, c, line) for c in ("shape_w", "shape_d"))
+                     if row["shape_w"] or row["shape_d"] else None)
+            records.append(FidelityRecord(
+                bid, *(_cell(row, c, line) for c in (
+                    "F_hat", "F_clamped", "sigma_boot", "S1", "S2", "S3", "width", "depth")),
+                shape, flags=tuple(f for f in (row["flags"] or "").split(";") if f)))
+    return records
 
 
 @main.command()
@@ -368,20 +409,14 @@ def oracle(out_dir, max_n):
     f_hat = {r.benchmark_id: r.F_hat for r in _read_results(out_dir)}
     cfg, manifest = _experiment(out_dir)
     nm = _noise(cfg)
-    qualifying = {r["id"] for r in manifest.records
-                  if r["kind"] == "benchmark" and r["width"] <= max_n and r["id"] in f_hat}
+    qualifying = [r["id"] for r in manifest.records
+                  if r["kind"] == "benchmark" and r["width"] <= max_n and r["id"] in f_hat]
     out_rows = []
     if qualifying:
         from mirrorbench.sim import exact_process_fidelity
-        from mirrorbench.storage import read_circuits
 
-        with _open_input(out_dir, "circuits.jsonl") as fp:
-            for c in read_circuits(fp):
-                if c.id not in qualifying:
-                    continue
-                out_rows.append((c.id, exact_process_fidelity(c, nm), f_hat[c.id]))
-                if len(out_rows) == len(qualifying):
-                    break
+        out_rows = [(c.id, exact_process_fidelity(c, nm), f_hat[c.id])
+                    for c in _circuits(out_dir, qualifying, "benchmarks")]
     with open_atomic(os.path.join(out_dir, "oracle.csv")) as fp:
         w = csv.writer(fp)
         w.writerow(["benchmark_id", "F_exact", "F_hat", "abs_deviation"])

@@ -83,15 +83,19 @@ class ConfigError(Exception):
 
 @contextlib.contextmanager
 def decoding(path: str) -> Iterator[None]:
-    """Bytes in ``path`` that are not UTF-8, or JSON or QASM that does not
-    parse, end the stage with a ConfigError naming the file."""
+    """The one handler of a failure while ``path`` is read: a file that cannot
+    be opened or is not UTF-8, JSON or QASM that does not parse, or a value
+    that breaks a rule (SchemaError, ContractError) ends the stage with one
+    ConfigError ``<path>: <what>``. Only reading and checking belong in it."""
     try:
         yield
+    except OSError as e:
+        raise ConfigError(f"{path}: cannot read ({e.strerror or e})") from None
     except UnicodeDecodeError as e:
         raise ConfigError(f"{path}: not UTF-8 text ({e.reason})") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: invalid JSON ({e})") from None
-    except QasmError as e:
+    except (QasmError, SchemaError, ContractError) as e:
         raise ConfigError(f"{path}: {e}") from None
 
 
@@ -177,6 +181,15 @@ class JsonObject:
             if key not in self._read:
                 raise SchemaError(f"unexpected key {key!r}", self.path)
 
+    @contextlib.contextmanager
+    def building(self) -> Iterator["JsonObject"]:
+        """A ContractError raised in the block, by what is built from this
+        object's values, becomes a SchemaError naming the object's path."""
+        try:
+            yield self
+        except ContractError as e:
+            raise SchemaError(str(e), self.path) from None
+
 
 # --- noise model ---------------------------------------------------------------------
 
@@ -211,14 +224,16 @@ class NoiseModel:
     @classmethod
     def from_dict(cls, d, path: str = "noise") -> "NoiseModel":
         """The model of a config's ``noise`` object; a key it does not take, whose
-        noise would be left out, or a value that is no finite number raises SchemaError."""
+        noise would be left out, or a value that is no finite number or lies
+        out of its range raises SchemaError."""
         noise = JsonObject(d, path)
         over = noise.object("theta_over", {})
         theta_over = {k: over.number(k) for k in over.data if k in ("X", "SX")}
         over.done()
         rates = {k: noise.number(k, 0.0) for k in ("lam_1q", "lam_2q", "theta_idle", "eps_ro")}
         noise.done()
-        return cls(theta_over=theta_over, **rates)
+        with noise.building():
+            return cls(theta_over=theta_over, **rates)
 
 
 # Widest circuit whose exact process fidelity ``sim`` computes; each batch of

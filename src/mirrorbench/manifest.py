@@ -91,11 +91,7 @@ class Manifest:
 
 def read_manifest(path: str) -> Manifest:
     with open(path, encoding="utf-8") as fp:
-        try:
-            d = json.load(fp)
-        except json.JSONDecodeError as e:
-            raise SchemaError(f"invalid JSON: {e}", "$") from None
-    return Manifest.from_dict(d)
+        return Manifest.from_dict(json.load(fp))
 
 
 def write_manifest(path: str, m: Manifest):

@@ -28,7 +28,7 @@ from typing import IO, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from mirrorbench.core import ContractError, SchemaError
+from mirrorbench.core import CapacityError, ContractError, JsonObject, SchemaError
 
 __all__ = [
     "ShotTable",
@@ -39,6 +39,17 @@ __all__ = [
 ]
 
 _ZERO = ord("0")
+# Most elements a sampler's largest array may hold, 1 GiB of float64: the
+# dense sampler's shots x 2^n outcome draw, the uniform sampler's shots x n bits.
+SHOT_BUDGET = 1 << 27
+
+
+def check_shot_budget(shots: int, per_shot: int, what: str):
+    """A CapacityError, before anything is drawn, when ``shots`` x
+    ``per_shot`` elements exceed ``SHOT_BUDGET``."""
+    if shots * per_shot > SHOT_BUDGET:
+        raise CapacityError(f"{shots} shots x {per_shot} {what} exceed the sampling "
+                            f"budget of 2^27 elements")
 
 
 def derive_seed(master_seed: int, *tags) -> np.random.Generator:
@@ -157,6 +168,7 @@ def fake_uniform_shots(n: int, shots: int, seed: int, circuit_id: str = "fake") 
     """i.i.d. uniform bitstrings; O(shots * n), independent of any circuit."""
     if shots <= 0 or n <= 0:
         raise ContractError("shots and width must be positive")
+    check_shot_budget(shots, n, "bits")
     rng = derive_seed(seed, circuit_id)
     packed = np.packbits(rng.integers(0, 2, size=(shots, n), dtype=np.uint8), axis=1)
     # Each shot's first equal row, found through a dict of row bytes; sorting
@@ -197,7 +209,8 @@ def write_shot_tables(fp: IO[str], tables: Iterable[ShotTable]) -> int:
 
 
 def read_shot_tables(fp: IO[str]) -> Iterator[ShotTable]:
-    """Stream the tables of a shots.jsonl file. A malformed record, or a
+    """Stream the tables of a shots.jsonl file, each record {circuit_id,
+    width, counts} read with ``core.JsonObject``. A malformed record, or a
     circuit id seen before, is a ``SchemaError`` with the record's path."""
     seen: set[str] = set()
     for i, line in enumerate(fp):
@@ -208,18 +221,15 @@ def read_shot_tables(fp: IO[str]) -> Iterator[ShotTable]:
             obj = json.loads(line)
         except json.JSONDecodeError as e:
             raise SchemaError(f"invalid JSON: {e}", path) from None
-        if not isinstance(obj, dict) or "circuit_id" not in obj or "counts" not in obj:
-            raise SchemaError("shot record must have circuit_id and counts", path)
-        counts, width = obj["counts"], obj.get("width")
-        if not isinstance(counts, dict):
-            raise SchemaError("counts must be an object", f"{path}.counts")
+        rec = JsonObject(obj, path)
+        cid = rec.string("circuit_id")
+        counts = rec.get("counts", what="a JSON object", fits=dict)
+        width = rec.count("width", None)
+        rec.done()
         if width is None:
             if not counts:
                 raise SchemaError("counts is empty and width is missing", path)
             width = len(next(iter(counts)))
-        elif type(width) is not int or width < 1:
-            raise SchemaError("width must be a positive integer", f"{path}.width")
-        cid = str(obj["circuit_id"])
         if cid in seen:
             raise SchemaError(f"duplicate circuit_id {cid!r}", f"{path}.circuit_id")
         seen.add(cid)

@@ -63,7 +63,7 @@ from mirrorbench.circuits import (
     gate_matrix,
 )
 from mirrorbench.core import ORACLE_MAX_N, NoiseModel
-from mirrorbench.shots import ShotTable, derive_seed, fake_uniform_shots
+from mirrorbench.shots import ShotTable, check_shot_budget, derive_seed, fake_uniform_shots
 
 __all__ = [
     "NoiseModel",
@@ -182,6 +182,7 @@ def sample_shots(c: Circuit, nm: NoiseModel, shots: int, seed: int) -> ShotTable
         raise ContractError("shots must be positive")
     if c.n > _TRAJECTORY_MAX_N:
         raise CapacityError(f"n={c.n} exceeds trajectory limit {_TRAJECTORY_MAX_N}")
+    check_shot_budget(shots, 1 << c.n, "outcomes")
     rng = derive_seed(seed, c.id)
     n = c.n
     layers = list(_noisy_program(c, nm))

@@ -22,7 +22,7 @@ from typing import IO, Iterable, Iterator
 import numpy as np
 
 from mirrorbench.circuits import GATE_ARITY, GATE_NPARAMS, KINDS, Circuit, ContractError
-from mirrorbench.core import SchemaError, open_atomic
+from mirrorbench.core import JsonObject, SchemaError, open_atomic
 from mirrorbench.manifest import Manifest, read_manifest, write_manifest
 from mirrorbench.shots import read_shot_tables, write_shot_tables
 
@@ -74,30 +74,24 @@ def circuit_to_json(c: Circuit) -> str:
 
 
 def circuit_from_json(line: str, *, path: str = "$") -> Circuit:
-    """Decode one circuit line; a malformed gate gives a ``SchemaError`` whose
-    path is that gate's ``layers[i][j]``."""
+    """Decode one circuit line, a record {id, n, layers[, meta]} read with
+    ``core.JsonObject``; a malformed gate gives a ``SchemaError`` whose path
+    is that gate's ``layers[i][j]``."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as e:
         raise SchemaError(f"invalid JSON: {e}", path) from None
-    if not isinstance(obj, dict):
-        raise SchemaError("circuit record must be an object", path)
-    for key in ("id", "n", "layers"):
-        if key not in obj:
-            raise SchemaError(f"missing key {key!r}", path)
-    n, layers = obj["n"], obj["layers"]
-    if type(n) is not int or n < 1:
-        raise SchemaError("n must be a positive integer", f"{path}.n")
-    if not isinstance(layers, list) or not all(isinstance(l, list) for l in layers):
-        raise SchemaError("layers must be a list of gate lists", f"{path}.layers")
+    rec = JsonObject(obj, path)
+    cid, n = rec.string("id"), rec.count("n")
+    layers = rec.get("layers", what="a list of gate lists", fits=lambda v: (
+        isinstance(v, list) and all(isinstance(layer, list) for layer in v)))
+    meta = rec.get("meta", {}, "a JSON object", dict)
+    rec.done()
     # A gate that is no object, or lacks a key, becomes a record the decoder rejects.
     records = [[(g.get("kind"), g.get("params"), g.get("qubits")) if isinstance(g, dict)
                 else (None, None, None) for g in layer] for layer in layers]
-    meta = obj.get("meta", {})
-    if not isinstance(meta, dict):
-        raise SchemaError("meta must be an object", f"{path}.meta")
     try:
-        return Circuit(n, records, str(obj["id"]), dict(meta))
+        return Circuit(n, records, cid, dict(meta))
     except ContractError as e:
         at = "" if e.at is None else ".layers[{}][{}]".format(*e.at)
         raise SchemaError(str(e), path + at) from None
@@ -114,8 +108,13 @@ def write_circuits(fp: IO[str], circuits: Iterable[Circuit]) -> int:
 
 
 def read_circuits(fp: IO[str]) -> Iterator[Circuit]:
-    """Stream circuits from a JSONL file."""
+    """Stream circuits from a JSONL file; an id seen before is a ``SchemaError``."""
+    seen: set[str] = set()
     for i, line in enumerate(fp):
         line = line.strip()
         if line:
-            yield circuit_from_json(line, path=f"$[{i}]")
+            c = circuit_from_json(line, path=f"$[{i}]")
+            if c.id in seen:
+                raise SchemaError(f"duplicate id {c.id!r}", f"$[{i}].id")
+            seen.add(c.id)
+            yield c

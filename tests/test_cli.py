@@ -6,6 +6,7 @@ import json
 import os
 import pathlib
 import re
+import shutil
 import tempfile
 
 import pytest
@@ -203,6 +204,28 @@ BAD_VALUES.update({name: (cfg, key, None) for name, (cfg, key) in {
     "nan-noise": (dict(BRICK_CONFIG, noise={"lam_1q": float("nan")}),
                   "config.noise: 'lam_1q' must be a finite number, got NaN"),
 }.items()})
+# A value out of its range named no section, and a Hamiltonian file's rule
+# broken by a Pauli string named no file.
+TFIM_TROTTER = {"kind": "trotter", "hamiltonian": {"type": "tfim", "n": 3}}
+BAD_VALUES.update({
+    "trotter-order": (dict(TROTTER_CONFIG, inputs={"family": dict(TFIM_TROTTER, order=3)}),
+                      "config error: config.inputs.family: Trotter order must be 1 or 2", None),
+    "tfim-ring": (dict(TROTTER_CONFIG, inputs={"family": dict(
+        TFIM_TROTTER, hamiltonian={"type": "tfim", "n": 2})}),
+        "config error: config.inputs.family.hamiltonian: periodic ring needs n >= 3", None),
+    "qaoa-width": (dict(BRICK_CONFIG, inputs={"family": {"kind": "qaoa", "n": 1}}),
+                   "config error: config.inputs.family: n must be >= 2", None),
+    "approximation-degree": (
+        with_changes(FULL_STACK_CONFIG, {"transpile": {"approximation_degree": 0}}),
+        "config error: config.transpile: approximation degree must lie in (0, 1]", None),
+    "noise-range": (dict(BRICK_CONFIG, noise={"eps_ro": 0.7}),
+                    "config error: config.noise: readout flip probability", None),
+    "hamiltonian-fractional-n": (FILE_TROTTER_CONFIG,
+                                 "config error: ham.json: $: 'n' must be a positive integer, "
+                                 "got 3.5", {"n": 3.5, "terms": [[1.0, "ZZI"]]}),
+    "hamiltonian-bad-pauli": (FILE_TROTTER_CONFIG, "config error: ham.json: bad Pauli string "
+                              "'XQZ'", {"n": 3, "terms": [[1.0, "XQZ"]]}),
+})
 # A key a file Hamiltonian does not read, left over from another type.
 BAD_VALUES["file-hamiltonian-leftover-key"] = (
     with_changes(FILE_TROTTER_CONFIG, {"inputs": {"family": {"hamiltonian": {"n": 3}}}}),
@@ -332,7 +355,8 @@ class TestPipeline:
             del records[0]["width"]
         path.write_text("".join(json.dumps(r) + "\n" for r in records))
         result = run_err(runner, ["analyze", "--out", out], 2)
-        assert result.stderr.startswith("config error: $[0]") and message in result.stderr
+        assert result.stderr.startswith(f"config error: {path}: $[0]"), result.stderr
+        assert message in result.stderr
         assert not os.path.exists(os.path.join(out, "results.csv"))
 
     def test_repeated_proxy_in_shots_exits_2(self, runner, tmp_path):
@@ -395,7 +419,8 @@ class TestPipeline:
         path.write_text(json.dumps(manifest))
         for stage in ("analyze", "report", "oracle"):
             result = run_err(runner, [stage, "--out", out], 2)
-            assert result.stderr.startswith(f"config error: {message}"), (stage, result.stderr)
+            assert result.stderr.startswith(f"config error: {path}: {message}"), \
+                (stage, result.stderr)
 
     def test_analyze_names_benchmark_without_a_kind(self, runner, tmp_path):
         out = self._generate(runner, tmp_path)
@@ -417,6 +442,61 @@ class TestPipeline:
         path.write_text("".join(json.dumps(r) + "\n" for r in records))
         result = run_err(runner, ["analyze", "--out", out], 2)
         assert f"{records[0]['circuit_id']}: target length 3 != shot width 2" in result.stderr
+
+    @pytest.mark.parametrize("name, index, edit, message", [
+        ("shots.jsonl", 0, lambda r: r.__setitem__("widht", r.pop("width")),
+         "$[0]: unexpected key 'widht'"),
+        ("shots.jsonl", 0, lambda r: r.update(circuit_id=["x"]),
+         "$[0]: 'circuit_id' must be a string, got [\"x\"]"),
+        ("circuits.jsonl", 1, lambda r: r.update(id=7), "$[1]: 'id' must be a string, got 7"),
+        ("circuits.jsonl", 1, lambda r: r.__setitem__("metadata", r.pop("meta")),
+         "$[1]: unexpected key 'metadata'"),
+    ], ids=["misspelt-width", "list-circuit-id", "int-circuit-id", "misspelt-meta"])
+    def test_malformed_record_exits_2_naming_file(self, runner, tmp_path, name, index, edit,
+                                                  message):
+        # The misspelt keys were skipped (analyze exited 0, the metadata was
+        # dropped) and the ids were str()-ed into an exit 3.
+        out = self._generate(runner, tmp_path)
+        run_ok(runner, ["simulate", "--out", out])
+        path = pathlib.Path(out, name)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        edit(records[index])
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        stage = "analyze" if name == "shots.jsonl" else "simulate"
+        result = run_err(runner, [stage, "--out", out], 2)
+        assert result.stderr.startswith(f"config error: {path}: {message}"), result.stderr
+
+    def test_oracle_with_benchmark_missing_from_circuits_exits_3(self, runner, tmp_path):
+        # oracle wrote an oracle.csv without the benchmark and exited 0.
+        out = self._generate(runner, tmp_path)
+        run_ok(runner, ["simulate", "--out", out])
+        run_ok(runner, ["analyze", "--out", out, "--bootstrap", "5"])
+        path = pathlib.Path(out, "circuits.jsonl")
+        first, *rest = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(rest))
+        result = run_err(runner, ["oracle", "--out", out], 3)
+        assert result.stderr.startswith(
+            f"missing data: circuits.jsonl lacks 1 of the manifest's benchmarks: "
+            f"{json.loads(first)['id']} (run generate)"), result.stderr
+        assert not os.path.exists(os.path.join(out, "oracle.csv"))
+
+    def test_missing_input_file_exits_2_naming_it(self, runner, tmp_path):
+        result = run_err(runner, ["generate", "--config", str(tmp_path / "none.json"),
+                                  "--out", str(tmp_path / "x")], 2)
+        assert result.stderr.startswith(f"config error: {tmp_path / 'none.json'}: cannot read")
+
+    @pytest.mark.parametrize("fake_uniform", [False, True], ids=["dense", "fake-uniform"])
+    def test_shots_beyond_budget_fail_each_proxy(self, runner, tmp_path, fake_uniform):
+        # Both samplers ended in a MemoryError traceback with exit 1.
+        out = self._generate(runner, tmp_path, dict(BRICK_CONFIG, shots=10 ** 11))
+        result = runner.invoke(main, ["simulate", "--out", out]
+                               + ["--fake-uniform"] * fake_uniform)
+        assert result.exit_code == 1 and "Traceback" not in result.output, result.output
+        proxies = [r["id"] for r in json.loads(pathlib.Path(out, "manifest.json").read_text())[
+            "records"] if r["kind"] != "benchmark"]
+        assert result.stderr.splitlines() == [
+            f"failed: {cid}: 100000000000 shots x {'3 bits' if fake_uniform else '8 outcomes'}"
+            f" exceed the sampling budget of 2^27 elements" for cid in proxies]
 
     def test_report_without_results_exits_3(self, runner, tmp_path):
         out = self._generate(runner, tmp_path)
@@ -461,6 +541,38 @@ class TestPipeline:
         result = run_err(runner, [stage, "--out", out], 2)
         assert result.stderr.startswith("config error: ") and "results.csv" in result.stderr
         assert not os.path.exists(os.path.join(out, written))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rows: rows[0].update(width="abc"),
+         "line 2: 'width' must be a positive integer, got \"abc\""),
+        (lambda rows: rows[0].update(F_clamped="7"),
+         "line 2: 'F_clamped' must be a number in [0, 1], got \"7\""),
+        (lambda rows: rows[0].update(sigma_boot="-1"),
+         "line 2: 'sigma_boot' must be a finite number >= 0 or nan, got \"-1\""),
+        (lambda rows: rows.append(dict(rows[0])),
+         "line 3: 'benchmark_id' \"brick3x6s0\" repeats line 2"),
+        (lambda rows: rows[0].update(shape_w="3"),
+         "line 2: 'shape_d' must be a positive integer, as shape_w is, got \"\""),
+        (lambda rows: rows[0].update(S2="inf"), "line 2: 'S2' must be a finite number"),
+    ], ids=["word-width", "F-clamped-above-1", "negative-sigma", "repeated-row",
+            "half-a-shape", "infinite-S"])
+    def test_results_value_names_file_line_and_column(self, runner, tmp_path, edit, message):
+        # The word width ended in a message naming no column, F_clamped 7
+        # gave mean_F 7.000000, the repeated row was reported twice and the
+        # negative sigma_boot named no file.
+        out = self._generate(runner, tmp_path)
+        run_ok(runner, ["simulate", "--out", out])
+        run_ok(runner, ["analyze", "--out", out, "--bootstrap", "5"])
+        path = os.path.join(out, "results.csv")
+        rows = read_csv(path)
+        edit(rows)
+        with open(path, "w", newline="") as fp:
+            w = csv.DictWriter(fp, list(rows[0]))
+            w.writeheader()
+            w.writerows(rows)
+        result = run_err(runner, ["report", "--out", out], 2)
+        assert result.stderr.startswith(f"config error: {path}: {message}"), result.stderr
+        assert not os.path.exists(os.path.join(out, "summary.txt"))
 
     def test_regenerate_removes_stale_outputs(self, runner, tmp_path):
         # Proxy ids do not depend on the noise model, so shots left from the
@@ -901,3 +1013,68 @@ class TestConfigMutations:
         if result.exit_code == 2:
             assert len(result.stderr.splitlines()) == 1, result.stderr
             assert f"'{key}'" in result.stderr or f".{key}:" in result.stderr, result.stderr
+
+
+# experiment file -> the stages that read it
+READERS = {"manifest.json": ("simulate", "analyze", "report", "oracle"),
+           "circuits.jsonl": ("simulate", "oracle"),
+           "shots.jsonl": ("analyze",)}
+
+
+@pytest.fixture(scope="module")
+def experiment(tmp_path_factory):
+    """A small low-level experiment directory after generate, simulate and analyze."""
+    tmp = tmp_path_factory.mktemp("mutations")
+    config = tmp / "config.json"
+    config.write_text(json.dumps(dict(BRICK_CONFIG, shots=50,
+                                      sampling={"m1": 2, "m2": 2, "m3": 2})))
+    out = str(tmp / "exp")
+    for args in (["generate", "--config", str(config)], ["simulate"],
+                 ["analyze", "--bootstrap", "5"]):
+        assert CliRunner().invoke(main, [*args, "--out", out]).exit_code == 0
+    return out
+
+
+def read_records(path):
+    """The records of a manifest or JSONL file, and a writer of them back."""
+    with open(path) as fp:
+        if path.endswith(".json"):
+            doc = json.load(fp)
+            return doc["records"], lambda out: json.dump(doc, out)
+        records = [json.loads(line) for line in fp]
+    return records, lambda out: out.write("".join(json.dumps(r) + "\n" for r in records))
+
+
+class TestExperimentFileMutations:
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_one_bad_record_value_exits_0_2_or_3(self, experiment, data):
+        # A record of a hand-edited or hardware file with one value of another
+        # JSON type, or a misspelt key: each end is one line that names the
+        # file, or missing data, never a traceback.
+        name = data.draw(st.sampled_from(sorted(READERS)))
+        stage = data.draw(st.sampled_from(READERS[name]))
+        with tempfile.TemporaryDirectory() as tmp:
+            out = shutil.copytree(experiment, os.path.join(tmp, "exp"))
+            path = os.path.join(out, name)
+            records, write = read_records(path)
+            record = records[data.draw(st.integers(0, len(records) - 1))]
+            key = data.draw(st.sampled_from(sorted(record)))
+            if data.draw(st.booleans()):
+                misspelt = data.draw(st.sampled_from([key[:-1], key + key[-1], key.upper()])
+                                     .filter(lambda k: k and k not in record))
+                record[misspelt] = record[key]
+            else:
+                original = record[key]
+                record[key] = data.draw(JSON_VALUES.filter(
+                    lambda v: json_type(v) != json_type(original)))
+            with open(path, "w") as fp:
+                write(fp)
+            bootstrap = ["--bootstrap", "5"] if stage == "analyze" else []
+            result = CliRunner().invoke(main, [stage, "--out", out, *bootstrap])
+        assert result.exit_code in (0, 2, 3), (result.output, result.exception)
+        assert "Traceback" not in result.output
+        if result.exit_code:
+            start = f"config error: {path}: " if result.exit_code == 2 else "missing data: "
+            assert len(result.stderr.splitlines()) == 1, result.stderr
+            assert result.stderr.startswith(start), result.stderr

@@ -333,9 +333,12 @@ class TestShotsJsonl:
         ('{"circuit_id": "a", "width": 0, "counts": {"0": 1}}', "width"),
         ('{"circuit_id": "a", "width": "2", "counts": {"01": 1}}', "width"),
         ('{"circuit_id": "a", "counts": {}}', "counts is empty and width is missing"),
-        ('{"circuit_id": "a", "counts": [1]}', "counts must be an object"),
-        ('[1, 2]', "must have circuit_id and counts"),
+        ('{"circuit_id": "a", "counts": [1]}', "'counts' must be a JSON object, got [1]"),
+        ('[1, 2]', "must be a JSON object, got [1, 2]"),
         ('{"circuit_id": "a", "counts": {"01": 1}', "invalid JSON"),
+        # A misspelt key was skipped, and an id that is no string was str()-ed.
+        ('{"circuit_id": "a", "widht": 2, "counts": {"01": 1}}', "unexpected key 'widht'"),
+        ('{"circuit_id": ["a"], "counts": {"01": 1}}', "'circuit_id' must be a string"),
     ])
     def test_reader_rejects_with_path(self, line, message):
         with pytest.raises(SchemaError) as e:

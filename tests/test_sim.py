@@ -142,6 +142,16 @@ class TestSampleShots:
         f = t.counts.get("1", 0) / 100_000
         assert abs(f - 0.5) < 5 * math.sqrt(0.25 / 100_000)
 
+    @pytest.mark.parametrize("shots", [10 ** 11, 10 ** 30])
+    def test_shots_beyond_budget_raise_before_drawing(self, shots):
+        # At n = 3, 10**11 shots made numpy allocate 745 GiB (279 GiB for the
+        # uniform bits), and 10**30 passed numpy's largest dimension.
+        samplers = [lambda: sample_shots(Circuit(3, ()), COMBINED, shots, 0),
+                    lambda: fake_uniform_shots(3, shots, 0)]
+        for sample in samplers:
+            with pytest.raises(CapacityError, match="exceed the sampling budget of 2\\^27"):
+                sample()
+
     def test_deterministic(self):
         rng = np.random.default_rng(1)
         c = random_native_circuit(rng, 3, 10)

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -176,6 +177,25 @@ class TestCircuitJsonl:
     def test_missing_key(self):
         with pytest.raises(SchemaError):
             circuit_from_json('{"id": "a", "n": 1}')
+
+    def test_repeated_id_rejected(self):
+        # simulate took the last of two records for one proxy without a word.
+        lines = [circuit_to_json(Circuit(1, [[GateOp("X", (), (0,))]], id=i)) for i in "aba"]
+        with pytest.raises(SchemaError, match=r"^\$\[2\]\.id: duplicate id 'a'$"):
+            list(read_circuits(io.StringIO("\n".join(lines))))
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"id": 7}, "'id' must be a string, got 7"),
+        ({"n": 2.0}, "'n' must be a positive integer, got 2.0"),
+        ({"layers": [1]}, "'layers' must be a list of gate lists, got [1]"),
+        ({"meta": []}, "'meta' must be a JSON object, got []"),
+        ({"metadata": {}}, "unexpected key 'metadata'"),
+    ], ids=["int-id", "float-n", "gate-not-in-a-layer", "list-meta", "misspelt-meta"])
+    def test_record_rejects_with_path(self, changes, message):
+        # An id was str()-ed and a misspelt key skipped.
+        line = json.dumps({"id": "x", "n": 2, "layers": [[gate("X", [0])]], **changes})
+        with pytest.raises(SchemaError, match=f"^\\$\\[3\\]: {re.escape(message)}$"):
+            circuit_from_json(line, path="$[3]")
 
 
 class TestShotTables:
