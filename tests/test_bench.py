@@ -1,5 +1,3 @@
-import hashlib
-
 import numpy as np
 import pytest
 
@@ -13,10 +11,9 @@ from mirrorbench.bench import (
 )
 from mirrorbench.circuits import Circuit, ContractError, CouplingGraph, GateOp
 from mirrorbench.mirror import SamplingParams
-from mirrorbench.storage import circuit_to_json
 from mirrorbench.transpile import TranspileConfig
 
-from tests.test_circuits import random_native_circuit
+from tests.test_circuits import circuit_digest, random_native_circuit
 
 PARAMS = SamplingParams(10, 10, 10, seed=0)
 
@@ -145,12 +142,11 @@ class TestSnip:
         # growth and the fallback (the last three shapes) must not move.
         c = brickwork_u3_cz(12, 10, 0)
         shapes = [(2, 3), (4, 5), (7, 10), (11, 2), (5, 1), (12, 1), (3, 2)]
-        got = [hashlib.sha256(circuit_to_json(snip(c, w, d, np.random.default_rng(k)))
-                              .encode()).hexdigest()[:16]
+        got = [circuit_digest(snip(c, w, d, np.random.default_rng(k)))
                for k, (w, d) in enumerate(shapes)]
-        assert got == ["a927fe8c04609468", "b65c368eee725b5a", "c4085d04e2d9a32e",
-                       "0524ddb4f72b8b33", "ef7b1e2a174bb1dc", "cbadb4c5d6a78afb",
-                       "2e0dce44e8126670"]
+        assert got == ["6e99453f893bc510", "79f998563d2ca84e", "296ba822020a6be2",
+                       "deb66a08448d8014", "0d1d969d221276e2", "ad18134fc4bdd194",
+                       "94d782917306121a"]
 
 
 class TestSubcircuitSuite:

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -28,6 +30,21 @@ from mirrorbench.circuits import (
 from mirrorbench.sim import NoiseModel, sample_shots, unitary_of
 
 RNG = np.random.default_rng(1234)
+
+
+def hash_circuit(h, c: Circuit):
+    """Feed ``c`` to the hash ``h``: its width and id, the bytes of its four
+    arrays and its meta's JSON, so that a pin of it is bit-exact."""
+    h.update(json.dumps([c.n, c.id]).encode())
+    for a in (c.kind, c.qubits, c.params, c.layer_start):
+        h.update(a.tobytes())
+    h.update(json.dumps(c.meta, sort_keys=True).encode())
+    return h
+
+
+def circuit_digest(c: Circuit) -> str:
+    """The first 16 hex digits of ``hash_circuit``'s SHA-256 of ``c``."""
+    return hash_circuit(hashlib.sha256(), c).hexdigest()[:16]
 
 
 def random_native_circuit(rng, n, n_ops, two_q_kinds=("CZ",)):

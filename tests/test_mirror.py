@@ -17,9 +17,8 @@ from mirrorbench.mirror import (
     make_m3,
 )
 from mirrorbench.sim import NoiseModel, ideal_distribution, noisy_unitary, unitary_of
-from mirrorbench.storage import circuit_to_json
 
-from tests.test_circuits import random_native_circuit
+from tests.test_circuits import hash_circuit, random_native_circuit
 
 
 def target_probability(mc):
@@ -162,10 +161,10 @@ class TestBuildSuite:
         from mirrorbench.algos import brickwork_u3_cz
         h = hashlib.sha256()
         for mc in build_suite(brickwork_u3_cz(8, 12, 7), SamplingParams(3, 3, 3, 7)):
-            h.update(circuit_to_json(mc.circuit).encode())
+            hash_circuit(h, mc.circuit)
             h.update(mc.target.encode())
         assert h.hexdigest() == \
-            "38f0bfde09dc7f7b1448325cdbd002a17f0e9d315dee63d8102216914ee52fa4"
+            "321796154b578607643542712f4702cd94af7b9318507837636e4d3bb6b0a773"
 
     def test_unique_ids(self):
         rng = np.random.default_rng(2)
