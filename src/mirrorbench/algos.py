@@ -131,7 +131,7 @@ def qft_circuit(n: int) -> Circuit:
             ops.append(GateOp("CP", (PI / 2 ** (j - i),), (j, i)))
     for i in range(n // 2):
         ops.append(GateOp("SWAP", (), (i, n - 1 - i)))
-    return Circuit(n, layerize(n, ops), f"qft{n}")
+    return layerize(n, ops, id=f"qft{n}")
 
 
 def qaoa_circuit(n: int, seed: int, reps: int = 1) -> Circuit:
@@ -158,7 +158,7 @@ def qaoa_circuit(n: int, seed: int, reps: int = 1) -> Circuit:
         for q in range(n):
             # RX(beta) as a U3 gate
             ops.append(GateOp("U3", (beta, -PI / 2, PI / 2), (q,)))
-    return Circuit(n, layerize(n, ops), f"qaoa{n}s{seed}")
+    return layerize(n, ops, id=f"qaoa{n}s{seed}")
 
 
 def brickwork_u3_cz(n: int, depth: int, seed: int) -> Circuit:
@@ -295,8 +295,8 @@ def trotter_circuit(h: PauliSumHamiltonian, spec: TrotterSpec) -> Circuit:
     for _ in range(m):
         ops.extend(step)
     cid = f"trotter-o{spec.order}m{m}t{t:g}"
-    return Circuit(h.n, layerize(h.n, ops), cid,
-                   {"trotter": {"order": spec.order, "steps": m, "time": t}})
+    return layerize(h.n, ops, id=cid,
+                    meta={"trotter": {"order": spec.order, "steps": m, "time": t}})
 
 
 def exact_evolution_unitary(h: PauliSumHamiltonian, t: float) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Iterator
 import numpy as np
 
 from mirrorbench.circuits import Circuit, ContractError, CouplingGraph, permutation_matrix
-from mirrorbench.core import JsonObject, decoding
+from mirrorbench.core import JsonObject, SchemaError, decoding
 from mirrorbench.manifest import Manifest
 from mirrorbench.mirror import MirrorCircuit, SamplingParams, build_suite, check_native
 from mirrorbench.sim import derive_seed, process_fidelity_unitaries, unitary_of
@@ -182,6 +182,13 @@ def _connected_subset(pairs: np.ndarray, active: list[int], w: int, rng) -> list
     return sorted(subset.union(rest[:w - len(subset)]))
 
 
+def _check_fits(c: Circuit, w: int, d: int):
+    """Raise ``ContractError`` unless c holds a (w, d)-shaped subcircuit."""
+    if not (1 <= w <= c.n) or not (1 <= d <= c.depth):
+        raise ContractError(
+            f"shape ({w}, {d}) does not fit circuit of shape ({c.n}, {c.depth})")
+
+
 def snip(c: Circuit, w: int, d: int, rng) -> Circuit:
     """Cut a (w, d)-shaped subcircuit out of c.
 
@@ -190,9 +197,7 @@ def snip(c: Circuit, w: int, d: int, rng) -> Circuit:
     dropped and qubits are relabeled 0..w-1. Window, subset, and dropped-gate
     count are recorded in the metadata.
     """
-    if not (1 <= w <= c.n) or not (1 <= d <= c.depth):
-        raise ContractError(
-            f"shape ({w}, {d}) does not fit circuit of shape ({c.n}, {c.depth})")
+    _check_fits(c, w, d)
     start = int(rng.integers(0, c.depth - d + 1))
     bounds = c.layer_start[start:start + d + 1]
     window = slice(bounds[0], bounds[-1])
@@ -249,6 +254,9 @@ def _coupling_from(tc: JsonObject, n: int) -> CouplingGraph:
     width, edges = coupling.count("n"), coupling.pairs("edges", "a, b", least=0)
     coupling.done()
     with coupling.building():
+        if width < n:
+            raise ContractError(f"coupling graph of {width} wires is smaller than "
+                                f"the {n}-qubit circuit")
         return CouplingGraph(width, frozenset(tuple(e) for e in edges))
 
 
@@ -304,6 +312,9 @@ def _input_circuits(inputs: JsonObject, benchmark_type: str) -> list[Circuit]:
         family.done()
         return [c]
     h = _hamiltonian_from(family.object("hamiltonian"))
+    for one, many in (("order", "orders"), ("steps", "steps_list")):
+        if one in family.data and many in family.data:
+            raise SchemaError(f"give {one!r} or {many!r}, not both", family.path)
     orders = family.count("orders", [family.count("order", 1)], many=True)
     steps = family.count("steps_list", [family.count("steps", 1)], many=True)
     t = family.number("time", 1.0)
@@ -348,8 +359,17 @@ def suite_from_config(cfg: JsonObject) -> BenchmarkSuite:
                            sc.count("samples_per_shape", 30))
         sc.done()
     cfg.done()
-    if bt == "low_level":
-        return build_low_level(circuits, params, shots)
+    # Each fit of the inputs is checked under the section that fixes it (the
+    # coupling's width in _coupling_from), so that its error names it.
     if bt == "full_stack":
         return build_full_stack(circuits, tcfg, reps, params, shots)
+    with cfg.building():  # the object holding compile_to_native
+        for c in circuits:
+            check_native(c, bt.replace("_", "-"))
+    if bt == "low_level":
+        return build_low_level(circuits, params, shots)
+    with sc.building():
+        for c in circuits:
+            for w, d in shapes.shapes:
+                _check_fits(c, w, d)
     return build_subcircuit(circuits, shapes, params, shots)

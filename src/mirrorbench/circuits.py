@@ -443,30 +443,35 @@ class Circuit:
         return c
 
 
-def layerize(n: int, ops, *, barriers=()) -> tuple[Layer, ...]:
-    """Greedy as-soon-as-possible packing of a flat op list into layers.
+def layerize(n: int, ops, *, barriers=(), id: str | None = None,
+             meta: dict | None = None) -> Circuit:
+    """The circuit of a flat op list, packed greedily as soon as possible.
 
     ``barriers`` is an optional set of positions in ``ops`` before which a
     hard layer boundary is forced. The ops first meet the ``Circuit`` rules,
     each as a layer of its own, so the ``ContractError`` of op ``i`` has
-    ``at == (i, 0)``.
+    ``at == (i, 0)``; ``id`` and ``meta`` are the ``Circuit``'s.
     """
-    ops = list(ops)
-    Circuit(n, [[op] for op in ops], id="")
+    flat = Circuit.from_arrays(n, *_decode(n, [[op] for op in ops]), id="")
     barriers = set(barriers)
     frontier = {}  # qubit -> its first free layer; a wide register costs nothing
-    layers: list[list[GateOp]] = []
-    floor = 0
-    for i, op in enumerate(ops):
+    layer = []  # each op's layer
+    floor = depth = 0
+    for i, (a, b) in enumerate(flat.qubits.tolist()):
         if i in barriers:
-            floor = len(layers)
-        pos = max(floor, max(frontier.get(q, 0) for q in op.qubits))
-        while len(layers) <= pos:
-            layers.append([])
-        layers[pos].append(op)
-        for q in op.qubits:
-            frontier[q] = pos + 1
-    return tuple(tuple(l) for l in layers)
+            floor = depth
+        if b < 0:
+            free = frontier[a] = max(floor, frontier.get(a, 0)) + 1
+        else:
+            free = frontier[a] = frontier[b] = max(floor, frontier.get(a, 0),
+                                                   frontier.get(b, 0)) + 1
+        layer.append(free - 1)
+        depth = max(depth, free)
+    layer = np.array(layer, dtype=np.int64)
+    order = np.argsort(layer, kind="stable")
+    return Circuit.from_arrays(
+        n, flat.kind[order], flat.qubits[order], flat.params[order],
+        np.cumsum([0, *np.bincount(layer, minlength=depth)]), id, meta)
 
 
 # --- inversion ----------------------------------------------------------------

@@ -76,8 +76,9 @@ def check_native(c: Circuit, mode: str):
     if bad.any():
         raise ContractError(
             f"circuit {c.id!r} contains non-native gate {KINDS[c.kind[np.argmax(bad)]]}; "
-            f"{mode} benchmarks require native circuits -- use a "
-            f"full-stack benchmark (or transpile first)")
+            f"{mode} benchmarks require native circuits -- compile them first with "
+            f"mirrorbench.transpile (\"compile_to_native\": true in a config) or use a "
+            f"full-stack benchmark")
 
 
 def _rc_layers(c: Circuit, labels: np.ndarray, rng, invert: bool) -> tuple:

@@ -261,11 +261,10 @@ def parse_qasm(text: str) -> Circuit:
         raise QasmError("no qreg declaration found", 1, 1)
     n = sizes[qreg.text]
     try:
-        layers = layerize(n, ops, barriers=barriers)
+        return layerize(n, ops, barriers=barriers, meta={"measure_all": len(measured) == n})
     except ContractError as e:
         # A width outside the rules names no op; the qreg declared it.
         (where[e.at[0]] if e.at else qreg).error(str(e))
-    return Circuit(n, layers, meta={"measure_all": len(measured) == n})
 
 
 def _op_to_qasm(op: GateOp, reg: str) -> str:

@@ -1,10 +1,11 @@
 """Compilation to the native {X, SX, RZ, CZ} gate set and a coupling graph.
 
-Pipeline: approximate pruning (optional) -> basis decomposition -> SWAP
-routing -> a second decomposition pass that expands the inserted SWAPs and
-re-merges single-qubit runs. Approximate pruning drops whole gates whose
-process fidelity to the identity is at least the approximation degree;
-degree 1.0 is exact compilation and drops nothing.
+Pipeline: approximate pruning (optional) -> SWAP routing of the circuit's
+own gates -> one basis decomposition, which expands every two-qubit gate (the
+inserted SWAPs included) into CZ and single-qubit gates and merges each
+single-qubit run once. Approximate pruning drops whole gates whose process
+fidelity to the identity is at least the approximation degree; degree 1.0 is
+exact compilation and drops nothing.
 """
 
 from __future__ import annotations
@@ -64,31 +65,20 @@ class TranspileConfig:
 
 
 def _expand_op(op: GateOp) -> list[GateOp]:
-    """Rewrite a high-level op into {1q kinds, CZ} (recursively)."""
-    k = op.kind
-    if k in ("X", "SX", "RZ", "U3", "C1Q", "CZ"):
-        return [op]
-    if k == "H":
-        (q,) = op.qubits
-        return [GateOp("RZ", (PI / 2,), (q,)), GateOp("SX", (), (q,)),
-                GateOp("RZ", (PI / 2,), (q,))]
-    if k == "CX":
+    """A two-qubit op as CZ and single-qubit ops; any other op as it is."""
+    if op.kind == "CX":
+        h = GateOp("H", (), op.qubits[1:])
+        return [h, GateOp("CZ", (), op.qubits), h]
+    if op.kind == "SWAP":
         a, b = op.qubits
-        h = _expand_op(GateOp("H", (), (b,)))
-        return [*h, GateOp("CZ", (), (a, b)), *h]
-    if k == "SWAP":
-        a, b = op.qubits
-        out = []
-        for ctrl, tgt in ((a, b), (b, a), (a, b)):
-            out.extend(_expand_op(GateOp("CX", (), (ctrl, tgt))))
-        return out
-    if k == "CP":
+        return [g for pair in ((a, b), (b, a), (a, b)) for g in _expand_op(GateOp("CX", (), pair))]
+    if op.kind == "CP":
         a, b = op.qubits
         theta = op.params[0]
         cx = _expand_op(GateOp("CX", (), (a, b)))
         return [*cx, GateOp("RZ", (-theta / 2,), (b,)), *cx,
                 GateOp("RZ", (theta / 2,), (a,)), GateOp("RZ", (theta / 2,), (b,))]
-    raise ContractError(f"unsupported kind {k!r} for basis decomposition")
+    return [op]
 
 
 def _emit_1q(m: np.ndarray, q: int) -> list[GateOp]:
@@ -145,13 +135,11 @@ def _fuse_1q_runs(n: int, flat: list[GateOp]) -> list[GateOp]:
 
 def decompose_to_basis(c: Circuit) -> Circuit:
     """Compile to the native {X, SX, RZ, CZ} set, preserving the unitary up to
-    global phase. Single-qubit chains are merged and re-expressed canonically."""
-    flat: list[GateOp] = []
-    for op in c.ops():
-        flat.extend(_expand_op(op))
-    flat = _fuse_1q_runs(c.n, flat)
+    global phase: each two-qubit gate becomes CZ and single-qubit gates, and
+    each maximal single-qubit run is merged and re-expressed canonically."""
+    flat = _fuse_1q_runs(c.n, [g for op in c.ops() for g in _expand_op(op)])
     assert all(op.kind in NATIVE_KINDS for op in flat)
-    return Circuit(c.n, layerize(c.n, flat), c.id, dict(c.meta))
+    return layerize(c.n, flat, id=c.id, meta=dict(c.meta))
 
 
 # --- routing ---------------------------------------------------------------------
@@ -201,7 +189,7 @@ def route(c: Circuit, coupling: CouplingGraph, seed: int = 0) -> Circuit:
 
     meta = dict(c.meta)
     meta["permutation"] = tuple(phys)
-    return Circuit(coupling.n, layerize(coupling.n, out), c.id, meta)
+    return layerize(coupling.n, out, id=c.id, meta=meta)
 
 
 # --- approximate pruning -----------------------------------------------------------
@@ -242,15 +230,14 @@ def approximate_prune(c: Circuit, degree: float) -> tuple[Circuit, list[tuple[Ga
 
 
 def transpile(c: Circuit, cfg: TranspileConfig) -> Circuit:
-    """prune -> decompose -> route -> expand SWAPs and merge 1q cleanup.
+    """prune -> route the circuit's own gates -> decompose once.
 
     The output metadata records the dropped-gate fidelity budget (product of
     per-gate identity fidelities), the routing permutation, and the config
     digest.
     """
     pruned, dropped = approximate_prune(c, cfg.approximation_degree)
-    native = decompose_to_basis(pruned)
-    final = decompose_to_basis(route(native, cfg.coupling, cfg.seed)).with_id(c.id + ".native")
+    final = decompose_to_basis(route(pruned, cfg.coupling, cfg.seed)).with_id(c.id + ".native")
     final.meta.update({
         "intrinsic_fidelity_budget": float(np.prod([f for _, f in dropped])),
         "dropped_gates": len(dropped),

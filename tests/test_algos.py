@@ -209,7 +209,7 @@ class TestPauliExponential:
         theta = 0.37
         n = len(pauli)
         ops = pauli_exponential_ops(theta, pauli)
-        u = unitary_of(Circuit(n, layerize(n, ops)))
+        u = unitary_of(layerize(n, ops))
         ref = exact_evolution_unitary(PauliSumHamiltonian(n, ((1.0, pauli),)), theta)
         assert equal_up_to_phase(u, ref, 1e-9)
 

@@ -63,7 +63,7 @@ def random_native_circuit(rng, n, n_ops, two_q_kinds=("CZ",)):
         else:
             ops.append(GateOp("U3", tuple(rng.uniform(-7, 7, 3)),
                               (int(rng.integers(n)),)))
-    return Circuit(n, layerize(n, ops))
+    return layerize(n, ops)
 
 
 class TestCircuit:
@@ -95,15 +95,15 @@ class TestCircuit:
 class TestLayerize:
     def test_dependency_forces_new_layer(self):
         ops = [GateOp("H", (), (0,)), GateOp("CZ", (), (0, 1))]
-        assert len(layerize(2, ops)) == 2
+        assert layerize(2, ops).depth == 2
 
     def test_parallel_ops_pack(self):
         ops = [GateOp("X", (), (0,)), GateOp("X", (), (1,))]
-        assert len(layerize(2, ops)) == 1
+        assert layerize(2, ops).depth == 1
 
     def test_barrier_forces_boundary(self):
         ops = [GateOp("X", (), (0,)), GateOp("X", (), (1,))]
-        assert len(layerize(2, ops, barriers=[1])) == 2
+        assert layerize(2, ops, barriers=[1]).depth == 2
 
     @pytest.mark.parametrize("qubit", [5, -1, 1.5])
     def test_bad_op_named_by_the_rule_set(self, qubit):

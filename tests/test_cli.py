@@ -226,6 +226,27 @@ BAD_VALUES.update({
     "hamiltonian-bad-pauli": (FILE_TROTTER_CONFIG, "config error: ham.json: bad Pauli string "
                               "'XQZ'", {"n": 3, "terms": [[1.0, "XQZ"]]}),
 })
+# An input that does not fit the config named no section, and told to
+# "transpile first" where the key is compile_to_native.
+BAD_VALUES.update({
+    "shape-too-wide": (with_changes(SUBCIRCUIT_CONFIG, {"shapes": {"shapes": [[7, 2]]}}),
+                       "config error: config.shapes: shape (7, 2) does not fit circuit of "
+                       "shape (4, 4)", None),
+    "coupling-too-narrow": (dict(FULL_STACK_CONFIG, transpile={"coupling": {
+        "n": 2, "edges": [[0, 1]]}}), "config error: config.transpile.coupling: coupling "
+        "graph of 2 wires is smaller than the 3-qubit circuit", None),
+    "low-level-not-native": (dict(BRICK_CONFIG, inputs={"family": {"kind": "qft", "n": 3}}),
+                             "config error: config: circuit 'qft3' contains non-native gate "
+                             "H; low-level benchmarks require native circuits -- compile them "
+                             "first with mirrorbench.transpile (\"compile_to_native\": true "
+                             "in a config)", None),
+})
+# A Trotter family's scalar next to its list was dropped without a word.
+BAD_VALUES.update({
+    f"trotter-{one}-and-{many}": (
+        with_changes(TROTTER_CONFIG, {"inputs": {"family": {one: 2}}}),
+        f"config error: config.inputs.family: give {one!r} or {many!r}, not both", None)
+    for one, many in (("order", "orders"), ("steps", "steps_list"))})
 # A key a file Hamiltonian does not read, left over from another type.
 BAD_VALUES["file-hamiltonian-leftover-key"] = (
     with_changes(FILE_TROTTER_CONFIG, {"inputs": {"family": {"hamiltonian": {"n": 3}}}}),

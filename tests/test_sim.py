@@ -60,7 +60,7 @@ def random_circuit(rng, n, n_ops, kinds=MIRRORABLE_KINDS):
         else:
             params = tuple(float(x) for x in rng.uniform(-7, 7, GATE_NPARAMS[kind]))
         ops.append(GateOp(kind, params, qubits))
-    return Circuit(n, layerize(n, ops))
+    return layerize(n, ops)
 
 
 def random_noise_model(rng, coherent_only=False):
@@ -198,7 +198,7 @@ class TestSampleShots:
             rng = np.random.default_rng(seed)
             ops = [GateOp("X", (), (0,))] + [
                 GateOp("U3", tuple(rng.uniform(-3, 3, 3)), (q,)) for q in range(1, n)]
-            c = Circuit(n, layerize(n, ops))
+            c = layerize(n, ops)
             support = np.abs(sim.statevector(c).ravel()) ** 2 > 0
             t = sample_shots(c, NoiseModel.noiseless(), 8, seed)
             assert all(support[int(bs, 2)] for bs in t.counts), (seed, t.counts)

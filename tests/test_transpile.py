@@ -2,19 +2,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirrorbench.algos import qaoa_circuit, qft_circuit
 from mirrorbench.circuits import (
     Circuit,
     ContractError,
     CouplingGraph,
+    GATE_ARITY,
     GateOp,
+    KINDS,
     NATIVE_KINDS,
+    ONE_QUBIT_KINDS,
     equal_up_to_phase,
     gate_matrix,
+    layerize,
     permutation_matrix,
 )
-from mirrorbench.sim import unitary_of
+from mirrorbench.sim import process_fidelity_unitaries, unitary_of
 from mirrorbench.transpile import (
     TranspileConfig,
     approximate_prune,
@@ -37,6 +43,34 @@ def ring(n: int) -> CouplingGraph:
 
 def star(n: int) -> CouplingGraph:
     return CouplingGraph(n, frozenset((0, i) for i in range(1, n)))
+
+
+ANGLE = st.floats(-2 * math.pi, 2 * math.pi)
+PARAMS = {"RZ": (ANGLE,), "CP": (ANGLE,), "U3": (ANGLE,) * 3,
+          "C1Q": (st.integers(0, 23).map(float),)}
+
+
+@st.composite
+def gate_ops(draw, n: int) -> GateOp:
+    """One gate of any of the ten kinds on an n-qubit register."""
+    kind = draw(st.sampled_from(KINDS if n > 1 else sorted(ONE_QUBIT_KINDS)))
+    qubits = tuple(draw(st.permutations(range(n)))[:GATE_ARITY[kind]])
+    return GateOp(kind, tuple(draw(p) for p in PARAMS.get(kind, ())), qubits)
+
+
+@st.composite
+def couplings(draw, n: int) -> CouplingGraph:
+    """A connected line, ring, star or random tree on n to n + 2 wires."""
+    w = draw(st.integers(n, n + 2))
+    shape = draw(st.sampled_from(["line", "ring", "star", "tree"]))
+    if shape == "ring" and w > 2:
+        return ring(w)
+    if shape == "star":
+        return star(w)
+    if shape == "tree":
+        return CouplingGraph(w, frozenset((draw(st.integers(0, i - 1)), i)
+                                          for i in range(1, w)))
+    return CouplingGraph.line(w)
 
 
 class TestDecompose:
@@ -173,6 +207,20 @@ class TestTranspile:
         w = permutation_matrix(out.meta["permutation"], out.n)
         assert equal_up_to_phase(w.conj().T @ unitary_of(out), unitary_of(pruned))
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+        st.lists(gate_ops(n), max_size=16).map(lambda ops: layerize(n, ops)),
+        couplings(n))), st.integers(0, 2 ** 31 - 1))
+    def test_any_gate_mix_compiles_onto_any_coupling(self, circuit_and_coupling, seed):
+        # Non-native gates are routed as they are, before the one decomposition.
+        c, coupling = circuit_and_coupling
+        out = transpile(c, TranspileConfig(coupling, 1.0, seed))
+        assert all(op.kind in NATIVE_KINDS for op in out.ops())
+        assert all(coupling.has_edge(*op.qubits) for op in out.ops() if op.kind == "CZ")
+        u_in = np.kron(unitary_of(c), np.eye(1 << (coupling.n - c.n)))
+        w = permutation_matrix(out.meta["permutation"], out.n)
+        assert process_fidelity_unitaries(u_in, w.conj().T @ unitary_of(out)) >= 1 - 1e-9
+
     def test_config_digest_sensitivity(self):
         cp = CouplingGraph.line(3)
         a = TranspileConfig(cp, 1.0, 0).digest()
@@ -189,10 +237,10 @@ class TestGoldenOutputs:
     moves any seeded output shows."""
 
     @pytest.mark.parametrize("c, coupling, degree, seed, expected", [
-        (qft_circuit(5), CouplingGraph.line(5), 1.0, 2, "6b0134da350d4a6e"),
-        (qaoa_circuit(6, 0), ring(6), 1.0, 0, "18afe7f30ea67bee"),
-        (qft_circuit(5), star(5), 1.0, 1, "992cb14c58d028ac"),
-        (qft_circuit(6), ring(6), 0.999, 3, "51145af732133b70"),
+        (qft_circuit(5), CouplingGraph.line(5), 1.0, 2, "bcd0c7ff3d4a49db"),
+        (qaoa_circuit(6, 0), ring(6), 1.0, 0, "7d6304e5444df4c8"),
+        (qft_circuit(5), star(5), 1.0, 1, "d246287399f9b029"),
+        (qft_circuit(6), ring(6), 0.999, 3, "66637e09e5cac39f"),
     ], ids=["qft5-line", "qaoa6-ring", "qft5-star", "qft6-ring-approx"])
     def test_transpile(self, c, coupling, degree, seed, expected):
         assert digest(transpile(c, TranspileConfig(coupling, degree, seed))) == expected
